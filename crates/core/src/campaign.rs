@@ -173,8 +173,8 @@ fn class_spans(count: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
 /// parallelism: a sweep dominated by one big trace stream no longer
 /// serialises on a single monolithic walk.
 ///
-/// Element `i` of the result equals `leon_sim::replay(trace, &configs[i],
-/// max_cycles)` bit-for-bit (including errors), at any thread count: each
+/// Element `i` of the result equals `leon_sim::replay_batch(trace, configs,
+/// max_cycles)[i]` bit-for-bit (including errors), at any thread count: each
 /// span's per-segment partial sequence is schedule-independent (the walker
 /// chains its state through the segments in order no matter which worker
 /// runs which unit), and the partials are merged by the deterministic
@@ -197,13 +197,8 @@ pub fn replay_batch_indexed(
     let nspans = mem_spans.len() + fetch_spans.len();
     let segments = plan.segment_count();
     if nspans == 0 || segments == 0 {
-        // no classes to walk, or an empty trace (every span reduces over
-        // zero partials — `walk_*_span` handles both for free)
-        let mem: Vec<_> =
-            mem_spans.iter().flat_map(|span| plan.walk_mem_span(span.clone())).collect();
-        let fetch: Vec<_> =
-            fetch_spans.iter().flat_map(|span| plan.walk_fetch_span(span.clone())).collect();
-        return plan.finish(&mem, &fetch);
+        // no classes to walk, or an empty trace: nothing to schedule
+        return leon_sim::replay_batch(trace, configs, max_cycles);
     }
 
     enum Walker<'a> {
@@ -1875,7 +1870,6 @@ mod tests {
                 max_cycles: 400_000_000,
                 threads,
                 use_replay: true,
-                batch_replay: true,
             })
     }
 

@@ -8,7 +8,7 @@
 //! (Figures 2, 3 and 4).
 
 use fpga_model::SynthesisModel;
-use leon_sim::{LeonConfig, ReplacementPolicy, SimError};
+use leon_sim::{LeonConfig, ReplacementPolicy, SimError, Stats};
 use serde::{Deserialize, Serialize};
 use workloads::Workload;
 
@@ -83,27 +83,15 @@ pub fn dcache_exhaustive(
     dcache_exhaustive_traced(&trace, base, model, max_cycles, threads)
 }
 
-/// The sweep kernel given an already-captured trace: retime all 28
-/// geometries without executing the workload at all.  A measurement session
-/// captures each workload's trace once (e.g. in a campaign
-/// [`crate::campaign::TraceSet`]) and every subsequent study over that
-/// workload replays it.
-///
-/// The feasible geometries are retimed through the one-pass batched replay
-/// engine ([`crate::campaign::replay_batch_indexed`]): every distinct
-/// geometry is a behavior class, the memory stream is decoded once per span
-/// of classes instead of once per configuration, and `threads` partitions
-/// the *classes* over the worker pool.  Row order is the combination order,
-/// the first error propagated is the lowest-indexed one, and the rows are
-/// bit-identical to the per-config kernel
-/// ([`dcache_exhaustive_traced_per_config`]) at any thread count.
-pub fn dcache_exhaustive_traced(
-    trace: &leon_sim::Trace,
+/// Synthesise every combination of the sweep, time the feasible ones with
+/// one call to `retime` (one result per feasible configuration, in
+/// combination order), and assemble the rows: combination order, infeasible
+/// rows untimed, the lowest-indexed error propagated.
+fn sweep_rows<E: From<SimError>>(
     base: &LeonConfig,
     model: &SynthesisModel,
-    max_cycles: u64,
-    threads: usize,
-) -> Result<Vec<DcacheRow>, SimError> {
+    retime: impl FnOnce(&[LeonConfig]) -> Result<Vec<Result<Stats, SimError>>, E>,
+) -> Result<Vec<DcacheRow>, E> {
     let combos = dcache_combinations();
     let mut meta = Vec::with_capacity(combos.len());
     let mut feasible = Vec::new();
@@ -116,36 +104,51 @@ pub fn dcache_exhaustive_traced(
         meta.push((ways, way_kb, config, report));
     }
 
-    let retimed =
-        crate::campaign::replay_batch_indexed(trace, &feasible, max_cycles, threads);
-    let mut retimed = retimed.into_iter();
-
+    let mut retimed = retime(&feasible)?.into_iter();
     let mut rows = Vec::with_capacity(meta.len());
     for (ways, way_kb, config, report) in meta {
-        if !report.fits {
-            rows.push(DcacheRow {
-                ways,
-                way_kb,
-                cycles: 0,
-                seconds: 0.0,
-                lut_pct: report.lut_percent,
-                bram_pct: report.bram_percent,
-                fits: false,
-            });
-            continue;
-        }
-        let stats = retimed.next().expect("one retiming per feasible geometry")?;
+        let cycles = if report.fits {
+            retimed.next().expect("one retiming per feasible geometry")?.cycles
+        } else {
+            0
+        };
         rows.push(DcacheRow {
             ways,
             way_kb,
-            cycles: stats.cycles,
-            seconds: config.cycles_to_seconds(stats.cycles),
+            cycles,
+            seconds: config.cycles_to_seconds(cycles),
             lut_pct: report.lut_percent,
             bram_pct: report.bram_percent,
-            fits: true,
+            fits: report.fits,
         });
     }
     Ok(rows)
+}
+
+/// The sweep kernel given an already-captured trace: retime all 28
+/// geometries without executing the workload at all.  A measurement session
+/// captures each workload's trace once (e.g. in a campaign
+/// [`crate::campaign::TraceSet`]) and every subsequent study over that
+/// workload replays it.
+///
+/// The feasible geometries are retimed through the one-pass batched replay
+/// engine ([`crate::campaign::replay_batch_indexed`]): every distinct
+/// geometry is a behavior class, the memory stream is decoded once per span
+/// of classes instead of once per configuration, and `threads` partitions
+/// the *classes* over the worker pool.  Row order is the combination order,
+/// the first error propagated is the lowest-indexed one, and the rows are
+/// bit-identical to full simulation ([`dcache_exhaustive_full`]) at any
+/// thread count.
+pub fn dcache_exhaustive_traced(
+    trace: &leon_sim::Trace,
+    base: &LeonConfig,
+    model: &SynthesisModel,
+    max_cycles: u64,
+    threads: usize,
+) -> Result<Vec<DcacheRow>, SimError> {
+    sweep_rows(base, model, |feasible| {
+        Ok(crate::campaign::replay_batch_indexed(trace, feasible, max_cycles, threads))
+    })
 }
 
 /// Why a streamed sweep recompute failed: a replay error (propagated like
@@ -171,6 +174,12 @@ impl std::fmt::Display for StreamedSweepError {
 
 impl std::error::Error for StreamedSweepError {}
 
+impl From<SimError> for StreamedSweepError {
+    fn from(e: SimError) -> Self {
+        StreamedSweepError::Sim(e)
+    }
+}
+
 /// The sweep kernel over a *streamed* stored trace: identical rows to
 /// [`dcache_exhaustive_traced`] — same combination order, same feasibility
 /// filtering, same retimed cycles — but the trace is never fully
@@ -184,136 +193,27 @@ pub fn dcache_exhaustive_traced_streamed(
     model: &SynthesisModel,
     max_cycles: u64,
 ) -> Result<Vec<DcacheRow>, StreamedSweepError> {
-    let combos = dcache_combinations();
-    let mut meta = Vec::with_capacity(combos.len());
-    let mut feasible = Vec::new();
-    for (ways, way_kb) in combos {
-        let config = sweep_config(base, ways, way_kb);
-        let report = model.synthesize(&config);
-        if report.fits {
-            feasible.push(config);
-        }
-        meta.push((ways, way_kb, config, report));
-    }
-
-    let retimed = leon_sim::replay_batch_streamed(streamed, &feasible, max_cycles)
-        .map_err(StreamedSweepError::Codec)?;
-    let mut retimed = retimed.into_iter();
-
-    let mut rows = Vec::with_capacity(meta.len());
-    for (ways, way_kb, config, report) in meta {
-        if !report.fits {
-            rows.push(DcacheRow {
-                ways,
-                way_kb,
-                cycles: 0,
-                seconds: 0.0,
-                lut_pct: report.lut_percent,
-                bram_pct: report.bram_percent,
-                fits: false,
-            });
-            continue;
-        }
-        let stats = retimed
-            .next()
-            .expect("one retiming per feasible geometry")
-            .map_err(StreamedSweepError::Sim)?;
-        rows.push(DcacheRow {
-            ways,
-            way_kb,
-            cycles: stats.cycles,
-            seconds: config.cycles_to_seconds(stats.cycles),
-            lut_pct: report.lut_percent,
-            bram_pct: report.bram_percent,
-            fits: true,
-        });
-    }
-    Ok(rows)
+    sweep_rows(base, model, |feasible| {
+        leon_sim::replay_batch_streamed(streamed, feasible, max_cycles)
+            .map_err(StreamedSweepError::Codec)
+    })
 }
 
-/// The pre-batching sweep kernel: one [`leon_sim::replay`] — and therefore
-/// one full memory-stream walk — per feasible geometry, fanned out over the
-/// pool per configuration.  Kept as the baseline the `batch_replay`
-/// benchmark measures the one-pass engine against, and as the reference the
-/// equivalence tests compare bit-for-bit.
-pub fn dcache_exhaustive_traced_per_config(
-    trace: &leon_sim::Trace,
-    base: &LeonConfig,
-    model: &SynthesisModel,
-    max_cycles: u64,
-    threads: usize,
-) -> Result<Vec<DcacheRow>, SimError> {
-    let combos = dcache_combinations();
-    let results = crate::campaign::run_indexed(combos.len(), threads, |i| -> Result<DcacheRow, SimError> {
-        let (ways, way_kb) = combos[i];
-        let config = sweep_config(base, ways, way_kb);
-        let report = model.synthesize(&config);
-        if !report.fits {
-            return Ok(DcacheRow {
-                ways,
-                way_kb,
-                cycles: 0,
-                seconds: 0.0,
-                lut_pct: report.lut_percent,
-                bram_pct: report.bram_percent,
-                fits: false,
-            });
-        }
-        let stats = leon_sim::replay(trace, &config, max_cycles)?;
-        Ok(DcacheRow {
-            ways,
-            way_kb,
-            cycles: stats.cycles,
-            seconds: config.cycles_to_seconds(stats.cycles),
-            lut_pct: report.lut_percent,
-            bram_pct: report.bram_percent,
-            fits: true,
-        })
-    });
-    let mut rows = Vec::with_capacity(combos.len());
-    for result in results {
-        rows.push(result?);
-    }
-    Ok(rows)
-}
-
-/// The pre-trace-engine sweep: one full cycle-accurate simulation per
-/// feasible geometry.  Kept as the baseline the `replay_micro` benchmark
-/// measures the trace-driven speedup against.
+/// The full-simulation sweep: one cycle-accurate run per feasible geometry.
+/// The oracle the replay sweeps are tested against, and the baseline the
+/// `replay_micro` benchmark measures the trace-driven speedup against.
 pub fn dcache_exhaustive_full(
     workload: &dyn Workload,
     base: &LeonConfig,
     model: &SynthesisModel,
     max_cycles: u64,
 ) -> Result<Vec<DcacheRow>, SimError> {
-    let mut rows = Vec::new();
-    for (ways, way_kb) in dcache_combinations() {
-        let config = sweep_config(base, ways, way_kb);
-        let report = model.synthesize(&config);
-        if !report.fits {
-            rows.push(DcacheRow {
-                ways,
-                way_kb,
-                cycles: 0,
-                seconds: 0.0,
-                lut_pct: report.lut_percent,
-                bram_pct: report.bram_percent,
-                fits: false,
-            });
-            continue;
-        }
-        let run = workloads::run_verified(workload, &config, max_cycles)?;
-        rows.push(DcacheRow {
-            ways,
-            way_kb,
-            cycles: run.stats.cycles,
-            seconds: run.seconds,
-            lut_pct: report.lut_percent,
-            bram_pct: report.bram_percent,
-            fits: true,
-        });
-    }
-    Ok(rows)
+    sweep_rows(base, model, |feasible| {
+        Ok(feasible
+            .iter()
+            .map(|config| workloads::run_verified(workload, config, max_cycles).map(|run| run.stats))
+            .collect())
+    })
 }
 
 /// The feasible row with the lowest runtime ("a simple sort yields the

@@ -482,9 +482,10 @@ struct Shared {
     /// the on-disk `.pin-<owner>` markers that make pins visible to GC
     /// passes in *other* processes.
     pin_owner: u64,
-    /// Whether the pin-marker renewal thread has been spawned (lazily, on
-    /// the first pin).
-    pin_heartbeat_spawned: std::sync::atomic::AtomicBool,
+    /// Stop channel of the pin-marker renewal thread, spawned lazily on the
+    /// first pin.  Dropping the family drops the sender, and the thread
+    /// exits at once instead of sleeping out its current beat.
+    pin_heartbeat: std::sync::OnceLock<std::sync::mpsc::Sender<()>>,
     /// Grace window (ms) under which doctor treats `.tmp-*` files as
     /// in-flight writes rather than debris (see [`DEFAULT_TMP_GRACE`]).
     tmp_grace_ms: AtomicU64,
@@ -508,7 +509,7 @@ impl Default for Shared {
                 .u64(unix_now_ms())
                 .finish()
                 .0,
-            pin_heartbeat_spawned: std::sync::atomic::AtomicBool::new(false),
+            pin_heartbeat: std::sync::OnceLock::new(),
             tmp_grace_ms: AtomicU64::new(DEFAULT_TMP_GRACE.as_millis() as u64),
         }
     }
@@ -1316,29 +1317,33 @@ impl ArtifactStore {
     }
 
     /// Lazily spawn the marker-renewal thread: every TTL/3 it rewrites a
-    /// live marker for each currently pinned id, and it exits once every
-    /// handle of this family is dropped (the `Weak` stops upgrading).
+    /// live marker for each currently pinned id, and it exits as soon as
+    /// every handle of this family is dropped (the stop channel
+    /// disconnects).
     fn ensure_pin_heartbeat(&self) {
-        if self.shared.pin_heartbeat_spawned.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let weak = Arc::downgrade(&self.shared);
-        let dir = self.dir.clone();
-        std::thread::spawn(move || {
-            let interval = Duration::from_millis(((lease_ttl().as_millis() as u64) / 3).max(1));
-            loop {
-                std::thread::sleep(interval);
-                let Some(shared) = weak.upgrade() else { return };
-                let ids: Vec<(String, u64)> = {
-                    let pins = shared.pins.lock().unwrap_or_else(|e| e.into_inner());
-                    pins.keys().cloned().collect()
-                };
-                for (kind, fp) in ids {
-                    let key = Fingerprint(fp);
-                    let path = dir.join(format!("{kind}-{key}.pin-{:016x}", shared.pin_owner));
-                    let _ = write_pin_marker(&dir, &shared, &path);
+        self.shared.pin_heartbeat.get_or_init(|| {
+            let (stop, stopped) = std::sync::mpsc::channel::<()>();
+            let weak = Arc::downgrade(&self.shared);
+            let dir = self.dir.clone();
+            std::thread::spawn(move || {
+                let interval =
+                    Duration::from_millis(((lease_ttl().as_millis() as u64) / 3).max(1));
+                while let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+                    stopped.recv_timeout(interval)
+                {
+                    let Some(shared) = weak.upgrade() else { return };
+                    let ids: Vec<(String, u64)> = {
+                        let pins = shared.pins.lock().unwrap_or_else(|e| e.into_inner());
+                        pins.keys().cloned().collect()
+                    };
+                    for (kind, fp) in ids {
+                        let key = Fingerprint(fp);
+                        let path = dir.join(format!("{kind}-{key}.pin-{:016x}", shared.pin_owner));
+                        let _ = write_pin_marker(&dir, &shared, &path);
+                    }
                 }
-            }
+            });
+            stop
         });
     }
 

@@ -16,33 +16,40 @@
 //!   event-free sequential fetches inside one 16-byte block (the minimum
 //!   line size, so "same cache line" holds under every valid geometry)
 //!   run-length compressed into a single record;
-//! * [`Trace::mem`] — just the data-cache-relevant stream: load/store
-//!   effective addresses and `save`/`restore` rotations with their
-//!   (architecturally configuration-independent) stack pointers;
+//! * [`Trace::folded`] — just the data-cache-relevant stream, with
+//!   guaranteed hits pre-folded into run counts: load/store effective
+//!   addresses and `save`/`restore` markers with their (architecturally
+//!   configuration-independent) stack pointers;
+//! * [`Trace::segments`] — per-segment checkpoints, so each segment of both
+//!   streams can be decoded and walked on its own;
 //! * [`Trace::summary`] — configuration-independent event *counts*;
 //! * the capturing configuration and its cache statistics.
 //!
 //! # How replay retimes a configuration
 //!
-//! Total cycles decompose into `Σ events × cost(event, config)`, and only
-//! cache hit/miss behaviour needs stateful re-simulation:
+//! There is one replay engine: a batch of configurations is partitioned
+//! into behavior classes ([`ReplayBatch`]), each stream is walked once for
+//! all of its classes, segment by segment, and every configuration is
+//! reconstructed closed-form.  [`replay`] is a batch of one.  Total cycles
+//! decompose into `Σ events × cost(event, config)`, and only cache hit/miss
+//! behaviour needs stateful re-simulation:
 //!
 //! 1. **i-cache**: if the replayed i-cache geometry equals the capturing
 //!    one, its statistics are reused verbatim; otherwise the fetch stream in
-//!    `ops` is re-walked through a fresh [`Cache`].
+//!    `ops` is re-walked through a lean cache model.
 //! 2. **d-cache + window traps**: if both the d-cache geometry and the
 //!    register-window count match, the captured statistics are reused;
-//!    otherwise `mem` is re-walked — a resident-window automaton re-derives
-//!    overflow/underflow traps for the window count under evaluation and
-//!    expands each trap into its 16 spill/fill accesses.
+//!    otherwise `folded` is re-walked — a resident-window automaton
+//!    re-derives overflow/underflow traps for the window count under
+//!    evaluation and expands each trap into its 16 spill/fill accesses.
 //! 3. **everything else** (latency options, decode/jump/interlock, fast
 //!    read/write, multiplier/divider, memory timing) is closed-form
 //!    arithmetic over [`TraceSummary`] — O(1).
 //!
-//! A cost-table measurement of the paper's 52-variable space therefore runs
-//! the full simulator once and replays 52 times, where 14 IU-only replays
-//! are O(1), 28 walk only the memory stream, and 11 walk only the fetch
-//! stream.
+//! Segments come from one of two sources — borrowed slices of an in-memory
+//! [`Trace`] ([`replay_batch`]) or verified loads from a serialised trace
+//! ([`StreamedTrace`], [`replay_batch_streamed`]) — and everything past the
+//! source is shared.
 //!
 //! Replay is bit-identical to full simulation — same final `cycles` and
 //! cache statistics — which `tests/replay_equivalence.rs` asserts across the
@@ -54,21 +61,18 @@
 //! Traces are plain data (`Send + Sync`): one captured trace is shared
 //! read-only by every replay worker of a measurement campaign.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cache::{Cache, CacheStats, TagCache};
+use crate::cache::{CacheStats, TagCache};
 use crate::config::{CacheConfig, LeonConfig};
 use crate::error::SimError;
 use crate::profiler::Stats;
 
 /// Process-wide count of trace-stream walks: one tick per pass over a trace's
-/// record or memory stream, whether it re-simulates one cache model (the
-/// per-config [`replay`] path) or a whole span of behavior classes at once
-/// (the batched [`ReplayBatch`] path).  Closed-form retimes never walk and
-/// never tick.
+/// record or memory stream, for however many behavior classes the pass
+/// re-simulates at once.  Closed-form retimes never walk and never tick.
 ///
 /// This is the batched engine's headline counter, next to
 /// `workloads::guest_instructions_executed` and
@@ -92,8 +96,7 @@ fn record_trace_walk() {
 }
 
 /// Process-wide count of trace *segments* walked: one tick per segment
-/// processed by a segmented span walker ([`MemSpanWalker`] /
-/// [`FetchSpanWalker`]), whichever engine drives it.  A full span walk over
+/// processed by a memory or fetch walk, whichever driver runs it.  A full span walk over
 /// a trace with S segments ticks this S times (and [`TRACE_WALKS`] once), so
 /// the segment-level budget of a batched measurement is
 /// `classes × segments`, and a fused Figure 2 memory pass is exactly
@@ -182,23 +185,6 @@ impl TraceOp {
     }
 }
 
-/// The data-cache-relevant events, extracted into their own dense stream so
-/// that d-cache and register-window perturbations replay without touching
-/// the (much longer) fetch stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemOp {
-    /// Data-cache read at this effective address.
-    Load(u32),
-    /// Data-cache write at this effective address.
-    Store(u32),
-    /// Window rotation forward; spills write through this stack pointer when
-    /// the replayed window file overflows.
-    Save(u32),
-    /// Window rotation backward; fills read through this stack pointer when
-    /// the replayed window file underflows.
-    Restore(u32),
-}
-
 /// Configuration-independent event counts of a captured run: everything the
 /// cycle model charges for, minus the cache behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -261,10 +247,6 @@ const FOLD_NONE: u32 = u32::MAX;
 pub struct SegmentMeta {
     /// First record of this segment in [`Trace::ops`].
     pub ops_start: usize,
-    /// First event of this segment in [`Trace::mem`] (in-memory offset; the
-    /// serialised index stores the folded offset instead, from which this is
-    /// re-derived on decode).
-    pub mem_start: usize,
     /// First item of this segment in [`Trace::folded`].
     pub folded_start: usize,
     /// Dynamic instructions retired before this segment (the segment's
@@ -301,7 +283,6 @@ fn derive_segments(
 ) -> (Vec<SegmentMeta>, Vec<u64>) {
     let mut segments = Vec::with_capacity(boundaries.len());
     let mut folded: Vec<u64> = Vec::new();
-    let mut mem_index = 0usize;
     let mut instructions = 0u64;
     let mut resident: u32 = 1;
     let mut run_line: Option<u32> = None;
@@ -320,7 +301,6 @@ fn derive_segments(
         let end = boundaries.get(index + 1).copied().unwrap_or(ops.len());
         segments.push(SegmentMeta {
             ops_start: start,
-            mem_start: mem_index,
             folded_start: folded.len(),
             instructions_before: instructions,
             resident_entry: resident,
@@ -336,16 +316,13 @@ fn derive_segments(
             }
             if op.flags & flags::LOAD != 0 {
                 fold_push(&mut folded, &mut run_line, op.aux, false);
-                mem_index += 1;
             }
             if op.flags & flags::STORE != 0 {
                 fold_push(&mut folded, &mut run_line, op.aux, true);
-                mem_index += 1;
             }
             if op.flags & flags::SAVE != 0 {
                 folded.push(FOLD_MARKER_BIT | op.aux as u64);
                 run_line = None;
-                mem_index += 1;
                 if resident < nwindows - 1 {
                     resident += 1;
                 }
@@ -353,7 +330,6 @@ fn derive_segments(
             if op.flags & flags::RESTORE != 0 {
                 folded.push(FOLD_MARKER_BIT | FOLD_RESTORE_BIT | op.aux as u64);
                 run_line = None;
-                mem_index += 1;
                 if resident > 1 {
                     resident -= 1;
                 }
@@ -370,12 +346,9 @@ fn derive_segments(
 pub struct Trace {
     /// Per-instruction records with fetch-run compression, in execution order.
     pub ops: Vec<TraceOp>,
-    /// The data-cache/window event stream (see [`MemOp`]), in execution order.
-    pub mem: Vec<MemOp>,
-    /// The capture-folded memory stream: one item per run leader or window
-    /// marker (see [`derive_segments`]), segment-aligned.  The batched
-    /// walkers consume this instead of re-deriving the guaranteed-hit
-    /// elision from [`Trace::mem`] on every batch build.
+    /// The capture-folded data-cache/window event stream, in execution
+    /// order: one item per load/store run leader or window marker (see
+    /// [`derive_segments`]), segment-aligned.
     pub folded: Vec<u64>,
     /// Segment checkpoints, in segment order ([`SegmentMeta`]); every trace
     /// with records has at least one segment.
@@ -414,7 +387,6 @@ impl Trace {
     /// Approximate in-memory footprint of the trace buffers, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.ops.len() * std::mem::size_of::<TraceOp>()
-            + self.mem.len() * std::mem::size_of::<MemOp>()
             + self.folded.len() * std::mem::size_of::<u64>()
             + self.segments.len() * std::mem::size_of::<SegmentMeta>()
     }
@@ -475,15 +447,13 @@ impl Trace {
         self.folded = folded;
     }
 
-    /// Build the derived streams (`mem`, `summary`) from a raw record stream.
+    /// Count the configuration-independent events of a raw record stream.
     ///
-    /// The derived streams are a pure function of `ops`, so they are *not*
-    /// serialised by [`Trace::to_bytes`]: a decoded trace rebuilds them here,
-    /// which both shrinks the on-disk format and makes an internally
-    /// inconsistent (ops vs. mem/summary) trace unrepresentable.
-    fn derive_streams(ops: &[TraceOp]) -> (TraceSummary, Vec<MemOp>) {
+    /// The summary is a pure function of `ops`: a decoded trace re-derives
+    /// it here and checks it against the stored one, so an internally
+    /// inconsistent (ops vs. summary) trace is unrepresentable.
+    fn derive_summary(ops: &[TraceOp]) -> TraceSummary {
         let mut summary = TraceSummary::default();
-        let mut mem = Vec::new();
         for op in ops {
             let f = op.flags;
             if f == 0 {
@@ -499,30 +469,18 @@ impl Trace {
             summary.branches += (f & flags::BRANCH != 0) as u64;
             summary.taken_branches += (f & flags::TAKEN != 0) as u64;
             summary.calls += (f & flags::CALL != 0) as u64;
-            if f & flags::LOAD != 0 {
-                summary.loads += 1;
-                mem.push(MemOp::Load(op.aux));
-            }
-            if f & flags::STORE != 0 {
-                summary.stores += 1;
-                mem.push(MemOp::Store(op.aux));
-            }
-            if f & flags::SAVE != 0 {
-                summary.saves += 1;
-                mem.push(MemOp::Save(op.aux));
-            }
-            if f & flags::RESTORE != 0 {
-                summary.restores += 1;
-                mem.push(MemOp::Restore(op.aux));
-            }
+            summary.loads += (f & flags::LOAD != 0) as u64;
+            summary.stores += (f & flags::STORE != 0) as u64;
+            summary.saves += (f & flags::SAVE != 0) as u64;
+            summary.restores += (f & flags::RESTORE != 0) as u64;
         }
-        (summary, mem)
+        summary
     }
 
-    /// Build the derived streams (`mem`, `summary`, segments, folded) from a
-    /// raw record stream and the capturing run's results.
+    /// Build the derived data (summary, segments, folded stream) from a raw
+    /// record stream and the capturing run's results.
     fn assemble(ops: Vec<TraceOp>, captured: &LeonConfig, stats: &Stats) -> Trace {
-        let (summary, mem) = Trace::derive_streams(&ops);
+        let summary = Trace::derive_summary(&ops);
         debug_assert_eq!(summary.instructions, stats.instructions);
         debug_assert_eq!(summary.loads, stats.loads);
         debug_assert_eq!(summary.stores, stats.stores);
@@ -532,7 +490,6 @@ impl Trace {
             derive_segments(&ops, &boundaries, captured.iu.reg_windows as u32);
         Trace {
             ops,
-            mem,
             folded,
             segments,
             summary,
@@ -1001,10 +958,9 @@ impl Trace {
     /// (one [`SegmentInfo`] per segment, with per-segment payload offsets
     /// and checksums), the per-segment payloads (each segment's records at
     /// 10 bytes apiece followed by its capture-folded items at 8), and a
-    /// trailing 64-bit FNV-1a checksum over everything before it.  `mem` is
-    /// rebuilt on decode, not stored; the folded stream *is* stored, so a
-    /// decoder (streaming or not) never re-derives the guaranteed-hit
-    /// elision.
+    /// trailing 64-bit FNV-1a checksum over everything before it.  The
+    /// folded stream is stored, so a streaming decoder can walk a segment
+    /// without first re-deriving the guaranteed-hit elision.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut payload = ByteWriter(Vec::with_capacity(self.ops.len() * 10 + self.folded.len() * 8));
         let mut locations: Vec<(u64, u64)> = Vec::with_capacity(self.segments.len());
@@ -1140,8 +1096,9 @@ impl Trace {
     /// Fails — rather than ever producing a wrong trace — on a bad magic, a
     /// different format version, a checksum mismatch, truncated or trailing
     /// bytes, or any malformed field.  On success the decoded trace is
-    /// exactly the one serialised (`mem` and `summary` are re-derived from
-    /// the record stream).
+    /// exactly the one serialised (the summary, checkpoints and folded stream
+    /// are re-derived from the record stream and checked against the stored
+    /// ones).
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceCodecError> {
         if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
             return Err(TraceCodecError::new("input shorter than the fixed header"));
@@ -1195,7 +1152,7 @@ impl Trace {
             }
         }
 
-        let (summary, mem) = Trace::derive_streams(&ops);
+        let summary = Trace::derive_summary(&ops);
         let boundaries: Vec<usize> = if header.version == TRACE_FORMAT_V1 {
             Trace::default_boundaries(ops.len())
         } else {
@@ -1234,7 +1191,6 @@ impl Trace {
 
         Ok(Trace {
             ops,
-            mem,
             folded,
             segments,
             summary,
@@ -1247,88 +1203,8 @@ impl Trace {
     }
 }
 
-thread_local! {
-    /// Per-worker scratch model reused by the per-config walkers
-    /// ([`walk_mem`], [`walk_fetches`]): a sweep over N geometries re-shapes
-    /// one model N times ([`Cache::reconfigure`]) instead of allocating N
-    /// line vectors.  Reconfiguring restores the exact just-constructed
-    /// state, so reuse is invisible to the walk results.
-    static WALK_SCRATCH: RefCell<Option<Cache>> = const { RefCell::new(None) };
-}
-
-/// Run `walk` on a scratch [`Cache`] shaped as `config` (fresh-state
-/// semantics, reused allocation).
-fn with_scratch_cache<R>(config: CacheConfig, walk: impl FnOnce(&mut Cache) -> R) -> R {
-    WALK_SCRATCH.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let cache = slot.get_or_insert_with(|| Cache::new(config));
-        cache.reconfigure(config);
-        walk(cache)
-    })
-}
-
-/// Re-walk the memory stream for a d-cache and/or window-count perturbation:
-/// re-derives window traps with the resident-window automaton (mirroring
-/// [`crate::regwin::RegisterWindows`]) and expands each trap into its 16
-/// spill/fill accesses.  Returns the d-cache statistics plus trap counts.
-fn walk_mem(trace: &Trace, config: &LeonConfig) -> (CacheStats, u64, u64) {
-    record_trace_walk();
-    with_scratch_cache(config.dcache, |dcache| {
-        let nwindows = config.iu.reg_windows as u32;
-        let mut resident: u32 = 1;
-        let mut overflows: u64 = 0;
-        let mut underflows: u64 = 0;
-        for op in &trace.mem {
-            match *op {
-                MemOp::Load(addr) => {
-                    dcache.read(addr);
-                }
-                MemOp::Store(addr) => {
-                    dcache.write(addr);
-                }
-                MemOp::Save(sp) => {
-                    if resident >= nwindows - 1 {
-                        overflows += 1;
-                        for i in 0..crate::cpu::WINDOW_TRAP_REGS {
-                            dcache.write(sp.wrapping_sub(4 + i * 4));
-                        }
-                    } else {
-                        resident += 1;
-                    }
-                }
-                MemOp::Restore(sp) => {
-                    if resident <= 1 {
-                        underflows += 1;
-                        for i in 0..crate::cpu::WINDOW_TRAP_REGS {
-                            dcache.read(sp.wrapping_sub(4 + i * 4));
-                        }
-                    } else {
-                        resident -= 1;
-                    }
-                }
-            }
-        }
-        (dcache.stats(), overflows, underflows)
-    })
-}
-
-/// Re-walk the fetch stream for an i-cache perturbation.
-fn walk_fetches(trace: &Trace, icache_config: CacheConfig) -> CacheStats {
-    record_trace_walk();
-    with_scratch_cache(icache_config, |icache| {
-        for op in &trace.ops {
-            if op.flags == 0 {
-                icache.read_run(op.pc, op.aux as u64 - 1);
-            } else {
-                icache.read(op.pc);
-            }
-        }
-        icache.stats()
-    })
-}
-
-/// Closed-form cycle reconstruction shared by [`replay`] and
-/// [`ReplayBatch::finish`] (mirrors `Cpu::step`'s charges): given a
+/// Closed-form cycle reconstruction behind every batch's finish (mirrors
+/// `Cpu::step`'s charges): given a
 /// configuration's cache behaviour and window-trap counts, rebuild the exact
 /// [`Stats`] a full run would produce, enforcing the cycle budget as a bound
 /// on the run total.
@@ -1392,37 +1268,14 @@ fn reconstruct_stats(
 /// full simulation of the same program on `config` would produce — in a
 /// fraction of the time, because only the caches (and only the *changed*
 /// caches) are re-simulated while every other cost is closed-form.
+///
+/// A batch of one through [`replay_batch`]: a configuration with the
+/// captured geometry walks nothing, a d-cache or window-count change walks
+/// the memory stream once, an i-cache change walks the record stream once.
 pub fn replay(trace: &Trace, config: &LeonConfig, max_cycles: u64) -> Result<Stats, SimError> {
-    config
-        .validate()
-        .map_err(|e| SimError::InvalidConfig(e.to_string()))?;
-
-    // 1. i-cache behaviour (identical geometry => identical statistics)
-    let icache = if config.icache == trace.captured.icache {
-        trace.base_icache
-    } else {
-        walk_fetches(trace, config.icache)
-    };
-
-    // 2. d-cache + window-trap behaviour
-    let same_mem_behaviour = config.dcache == trace.captured.dcache
-        && config.iu.reg_windows == trace.captured.iu.reg_windows;
-    let (dcache, window_overflows, window_underflows) = if same_mem_behaviour {
-        (trace.base_dcache, trace.base_overflows, trace.base_underflows)
-    } else {
-        walk_mem(trace, config)
-    };
-
-    // 3. closed-form cycle reconstruction
-    reconstruct_stats(
-        &trace.summary,
-        config,
-        icache,
-        dcache,
-        window_overflows,
-        window_underflows,
-        max_cycles,
-    )
+    replay_batch(trace, std::slice::from_ref(config), max_cycles)
+        .pop()
+        .expect("a batch of one yields one result")
 }
 
 // ---------------------------------------------------------------------------
@@ -1476,29 +1329,57 @@ enum Disposition {
 ///
 /// The paper's central experiments — the 52-variable cost table and the
 /// exhaustive d-cache sweep — evaluate many configurations against one fixed
-/// program behaviour.  Per-config [`replay`] walks the trace once per
-/// configuration; this plan walks each stream **once**, updating one lean
-/// cache model per distinct class simultaneously ([`crate::cache`]'s
+/// program behaviour.  The plan walks each stream **once**, updating one
+/// lean cache model per distinct class simultaneously ([`crate::cache`]'s
 /// `TagCache`), and reconstructs every configuration's [`Stats`] closed-form
-/// from its class's walk results — bit-identical to element-wise [`replay`]
-/// (pinned by `tests/replay_equivalence.rs`).
+/// from its class's walk results — bit-identical to full simulation (pinned
+/// by `tests/replay_equivalence.rs`).
 ///
 /// The classes of each stream are exposed as an indexable axis
-/// ([`ReplayBatch::walk_mem_span`] / [`ReplayBatch::walk_fetch_span`]) so a
-/// worker pool can partition *classes* — not configurations — across
-/// threads; results are independent of the partitioning, so any thread
-/// count produces byte-identical output.  [`replay_batch`] is the serial
-/// convenience wrapper: one fused pass per stream.
+/// ([`ReplayBatch::mem_span_walker`] / [`ReplayBatch::fetch_span_walker`])
+/// so a worker pool can partition *classes × segments* — not configurations
+/// — across threads; results are independent of the partitioning, so any
+/// thread count produces byte-identical output.  [`replay_batch`] is the
+/// serial driver: one fused pass per stream.
 pub struct ReplayBatch<'a> {
     trace: &'a Trace,
-    plan: BatchPlan,
+    plan: BatchPlan<'a>,
+}
+
+/// What a batch reconstructs from besides its walks: the capturing
+/// configuration, the configuration-independent event counts, and the
+/// capturing run's cache and window-trap results (reused verbatim by every
+/// configuration whose geometry matches).
+#[derive(Clone, Copy)]
+struct CapturedRun<'a> {
+    config: &'a LeonConfig,
+    summary: &'a TraceSummary,
+    icache: CacheStats,
+    dcache: CacheStats,
+    overflows: u64,
+    underflows: u64,
+}
+
+impl Trace {
+    fn captured_run(&self) -> CapturedRun<'_> {
+        CapturedRun {
+            config: &self.captured,
+            summary: &self.summary,
+            icache: self.base_icache,
+            dcache: self.base_dcache,
+            overflows: self.base_overflows,
+            underflows: self.base_underflows,
+        }
+    }
 }
 
 /// The trace-independent half of a batch replay — configuration validation,
-/// behavior-class dedup and closed-form reconstruction — shared by the
-/// in-memory [`ReplayBatch`] and the streaming [`replay_batch_streamed`]
-/// path (which never holds a whole [`Trace`]).
-struct BatchPlan {
+/// behavior-class dedup, the serial segment driver and closed-form
+/// reconstruction — shared by the in-memory [`ReplayBatch`] and the
+/// streaming [`replay_batch_streamed`] path (which never holds a whole
+/// [`Trace`]).
+struct BatchPlan<'a> {
+    captured: CapturedRun<'a>,
     max_cycles: u64,
     configs: Vec<LeonConfig>,
     dispositions: Vec<Disposition>,
@@ -1506,8 +1387,9 @@ struct BatchPlan {
     fetch_classes: Vec<CacheConfig>,
 }
 
-impl BatchPlan {
-    fn new(captured: &LeonConfig, configs: &[LeonConfig], max_cycles: u64) -> BatchPlan {
+impl<'a> BatchPlan<'a> {
+    fn new(captured: CapturedRun<'a>, configs: &[LeonConfig], max_cycles: u64) -> BatchPlan<'a> {
+        let base = captured.config;
         let mut mem_classes = Vec::new();
         let mut fetch_classes = Vec::new();
         let mut mem_index: HashMap<MemClass, usize> = HashMap::new();
@@ -1518,8 +1400,8 @@ impl BatchPlan {
                 if let Err(e) = config.validate() {
                     return Disposition::Invalid(SimError::InvalidConfig(e.to_string()));
                 }
-                let mem_class = if config.dcache == captured.dcache
-                    && config.iu.reg_windows == captured.iu.reg_windows
+                let mem_class = if config.dcache == base.dcache
+                    && config.iu.reg_windows == base.iu.reg_windows
                 {
                     None
                 } else {
@@ -1530,7 +1412,7 @@ impl BatchPlan {
                         mem_classes.len() - 1
                     }))
                 };
-                let fetch_class = if config.icache == captured.icache {
+                let fetch_class = if config.icache == base.icache {
                     None
                 } else {
                     Some(*fetch_index.entry(config.icache).or_insert_with(|| {
@@ -1541,24 +1423,70 @@ impl BatchPlan {
                 Disposition::Valid { mem_class, fetch_class }
             })
             .collect();
-        BatchPlan { max_cycles, configs: configs.to_vec(), dispositions, mem_classes, fetch_classes }
+        BatchPlan {
+            captured,
+            max_cycles,
+            configs: configs.to_vec(),
+            dispositions,
+            mem_classes,
+            fetch_classes,
+        }
     }
 
-    /// Closed-form reconstruction over the walk results, given the captured
-    /// base statistics (reused verbatim for classless configurations).
-    #[allow(clippy::too_many_arguments)]
+    /// The serial walk/reduce/finish driver behind [`replay_batch`] and
+    /// [`replay_batch_streamed`]: one chained walker per non-empty stream
+    /// (each counted as one trace walk), fed every segment in order, then
+    /// the deterministic partial reduction and the closed-form finish.
+    ///
+    /// `visit(seg, walk)` is the segment source: it hands segment `seg`'s
+    /// records and folded items to `walk` — borrowed slices of an in-memory
+    /// trace, or a verified [`StreamedTrace::load_segment`] — and its error
+    /// aborts the batch.  A batch with no classes visits nothing.
+    fn run<E>(
+        &self,
+        segments: usize,
+        mut visit: impl FnMut(usize, &mut dyn FnMut(&[TraceOp], &[u64])) -> Result<(), E>,
+    ) -> Result<Vec<Result<Stats, SimError>>, E> {
+        let mut mem_core = (!self.mem_classes.is_empty()).then(|| {
+            record_trace_walk();
+            MemWalkCore::new(&self.mem_classes)
+        });
+        let mut fetch_core = (!self.fetch_classes.is_empty()).then(|| {
+            record_trace_walk();
+            FetchWalkCore::new(&self.fetch_classes)
+        });
+        let mut mem_partials: Vec<MemSegmentPartial> = Vec::new();
+        let mut fetch_partials: Vec<FetchSegmentPartial> = Vec::new();
+        if mem_core.is_some() || fetch_core.is_some() {
+            for seg in 0..segments {
+                visit(seg, &mut |ops, folded| {
+                    if let Some(core) = mem_core.as_mut() {
+                        record_segment_walk();
+                        mem_partials.push(core.walk_segment_folded(folded));
+                    }
+                    if let Some(core) = fetch_core.as_mut() {
+                        record_segment_walk();
+                        fetch_partials.push(core.walk_segment_ops(ops));
+                    }
+                })?;
+            }
+        }
+        let summary = self.captured.summary;
+        let mem = reduce_mem(summary, self.mem_classes.len(), &mem_partials);
+        let fetch = reduce_fetch(summary, self.fetch_classes.len(), &fetch_partials);
+        Ok(self.finish(&mem, &fetch))
+    }
+
+    /// Closed-form reconstruction over the per-class walk results; classless
+    /// configurations reuse the capturing run's statistics verbatim.
     fn finish(
         &self,
-        summary: &TraceSummary,
-        base_icache: CacheStats,
-        base_dcache: CacheStats,
-        base_overflows: u64,
-        base_underflows: u64,
         mem: &[(CacheStats, u64, u64)],
         fetch: &[CacheStats],
     ) -> Vec<Result<Stats, SimError>> {
         assert_eq!(mem.len(), self.mem_classes.len(), "one walk result per memory class");
         assert_eq!(fetch.len(), self.fetch_classes.len(), "one walk result per fetch class");
+        let run = &self.captured;
         self.dispositions
             .iter()
             .zip(&self.configs)
@@ -1567,14 +1495,14 @@ impl BatchPlan {
                 Disposition::Valid { mem_class, fetch_class } => {
                     let icache = match fetch_class {
                         Some(class) => fetch[*class],
-                        None => base_icache,
+                        None => run.icache,
                     };
                     let (dcache, overflows, underflows) = match mem_class {
                         Some(class) => mem[*class],
-                        None => (base_dcache, base_overflows, base_underflows),
+                        None => (run.dcache, run.overflows, run.underflows),
                     };
                     reconstruct_stats(
-                        summary,
+                        run.summary,
                         config,
                         icache,
                         dcache,
@@ -1594,7 +1522,7 @@ impl<'a> ReplayBatch<'a> {
     /// is deterministic for a given configuration sequence).  Performs no
     /// walks.
     pub fn new(trace: &'a Trace, configs: &[LeonConfig], max_cycles: u64) -> ReplayBatch<'a> {
-        ReplayBatch { trace, plan: BatchPlan::new(&trace.captured, configs, max_cycles) }
+        ReplayBatch { trace, plan: BatchPlan::new(trace.captured_run(), configs, max_cycles) }
     }
 
     /// Number of configurations in the batch.
@@ -1629,31 +1557,13 @@ impl<'a> ReplayBatch<'a> {
         self.trace.segment_count()
     }
 
-    /// Walk the memory stream **once**, re-simulating every memory class in
-    /// `span` simultaneously: each class's lean d-cache model sees exactly
-    /// the access sequence the per-config walk would have produced, and one
-    /// resident-window automaton per distinct window count re-derives the
-    /// traps shared by every class with that count.  Returns each class's
-    /// `(dcache stats, overflows, underflows)` in span order.
-    ///
-    /// Implemented as the segmented walker driven over every segment in
-    /// order plus the deterministic partial reduction — the fused serial
-    /// walk and any segment-parallel schedule produce byte-identical
-    /// results by construction.
-    pub fn walk_mem_span(&self, span: Range<usize>) -> Vec<(CacheStats, u64, u64)> {
-        if span.is_empty() {
-            return Vec::new();
-        }
-        let mut walker = self.mem_span_walker(span.clone());
-        let partials: Vec<MemSegmentPartial> =
-            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-        self.reduce_mem_partials(span, &partials)
-    }
-
     /// Build the stateful segmented walker for the memory classes in `span`:
-    /// call [`MemSpanWalker::walk_segment`] for every segment in order and
-    /// feed the partials to [`ReplayBatch::reduce_mem_partials`].  Counts as
-    /// one trace walk (the segment counter ticks per segment).
+    /// each class's lean d-cache model sees exactly the access sequence a
+    /// full simulation produces, and one resident-window automaton per
+    /// distinct window count re-derives the traps shared by every class with
+    /// that count.  Call [`MemSpanWalker::walk_segment`] for every segment
+    /// in order and feed the partials to [`ReplayBatch::reduce_mem_partials`].
+    /// Counts as one trace walk (the segment counter ticks per segment).
     ///
     /// # Panics
     ///
@@ -1667,29 +1577,16 @@ impl<'a> ReplayBatch<'a> {
 
     /// Deterministically merge per-segment memory partials (one per segment,
     /// in segment order, each with one delta per class of `span`) into the
-    /// final span results — bit-identical to the monolithic walk: the walk
-    /// counters are associative sums over segments, and every derived
-    /// statistic is a closed form over those sums.
+    /// span's `(dcache stats, overflows, underflows)` results, in span order
+    /// — bit-identical for any schedule: the walk counters are associative
+    /// sums over segments, and every derived statistic is a closed form over
+    /// those sums.
     pub fn reduce_mem_partials(
         &self,
         span: Range<usize>,
         partials: &[MemSegmentPartial],
     ) -> Vec<(CacheStats, u64, u64)> {
         reduce_mem(&self.trace.summary, span.len(), partials)
-    }
-
-    /// Walk the fetch stream **once**, re-simulating every fetch class in
-    /// `span` simultaneously.  Returns each class's i-cache statistics in
-    /// span order.  Like [`ReplayBatch::walk_mem_span`], this drives the
-    /// segmented walker over every segment in order and reduces.
-    pub fn walk_fetch_span(&self, span: Range<usize>) -> Vec<CacheStats> {
-        if span.is_empty() {
-            return Vec::new();
-        }
-        let mut walker = self.fetch_span_walker(span.clone());
-        let partials: Vec<FetchSegmentPartial> =
-            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-        self.reduce_fetch_partials(span, &partials)
     }
 
     /// Build the stateful segmented walker for the fetch classes in `span`
@@ -1705,8 +1602,8 @@ impl<'a> ReplayBatch<'a> {
         FetchSpanWalker { trace: self.trace, core: FetchWalkCore::new(classes), next_segment: 0 }
     }
 
-    /// Deterministically merge per-segment fetch partials into the final
-    /// span results (see [`ReplayBatch::reduce_mem_partials`]).
+    /// Deterministically merge per-segment fetch partials into the span's
+    /// i-cache statistics (see [`ReplayBatch::reduce_mem_partials`]).
     pub fn reduce_fetch_partials(
         &self,
         span: Range<usize>,
@@ -1724,15 +1621,7 @@ impl<'a> ReplayBatch<'a> {
         mem: &[(CacheStats, u64, u64)],
         fetch: &[CacheStats],
     ) -> Vec<Result<Stats, SimError>> {
-        self.plan.finish(
-            &self.trace.summary,
-            self.trace.base_icache,
-            self.trace.base_dcache,
-            self.trace.base_overflows,
-            self.trace.base_underflows,
-            mem,
-            fetch,
-        )
+        self.plan.finish(mem, fetch)
     }
 }
 
@@ -1838,8 +1727,8 @@ fn reduce_fetch(
 }
 
 /// The chained cache/automaton state of a memory span walk, segment-agnostic:
-/// the same core serves the in-memory [`MemSpanWalker`] and the streaming
-/// [`replay_batch_streamed`] path.
+/// the same core serves the parked [`MemSpanWalker`] and the serial batch
+/// driver, whichever source its segments come from.
 struct MemWalkCore {
     caches: Vec<TagCache>,
     groups: Vec<WindowGroup>,
@@ -2170,22 +2059,24 @@ impl FetchSpanWalker<'_> {
 /// Retime every configuration of a batch against one captured trace in a
 /// single pass per trace stream.
 ///
-/// Element `i` of the result equals `replay(trace, &configs[i], max_cycles)`
-/// bit-for-bit (including `InvalidConfig` and `CycleLimitExceeded` errors),
-/// but a batch of N configurations performs at most **two** trace walks —
-/// one over the memory stream for all distinct (d-cache geometry, window
-/// count) classes, one over the record stream for all distinct i-cache
-/// geometries — instead of up to N.  Callers with a worker pool should
-/// partition the classes instead (see [`ReplayBatch`]).
+/// Element `i` of the result is bit-for-bit what a full simulation on
+/// `configs[i]` produces (including `InvalidConfig` and
+/// `CycleLimitExceeded` errors), but a batch of N configurations performs at
+/// most **two** trace walks — one over the memory stream for all distinct
+/// (d-cache geometry, window count) classes, one over the record stream for
+/// all distinct i-cache geometries — instead of up to N.  Callers with a
+/// worker pool should partition the classes instead (see [`ReplayBatch`]).
 pub fn replay_batch(
     trace: &Trace,
     configs: &[LeonConfig],
     max_cycles: u64,
 ) -> Vec<Result<Stats, SimError>> {
-    let plan = ReplayBatch::new(trace, configs, max_cycles);
-    let mem = plan.walk_mem_span(0..plan.mem_class_count());
-    let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
-    plan.finish(&mem, &fetch)
+    let plan = BatchPlan::new(trace.captured_run(), configs, max_cycles);
+    let Ok(results) = plan.run(trace.segment_count(), |seg, walk| {
+        walk(&trace.ops[trace.ops_range(seg)], &trace.folded[trace.folded_range(seg)]);
+        Ok::<(), std::convert::Infallible>(())
+    });
+    results
 }
 
 /// Run `program` on `config` once, capturing both the full [`crate::RunResult`]
@@ -2404,59 +2295,33 @@ impl StreamedTrace {
 /// holding **one segment** in memory at a time: peak memory is
 /// O(largest segment + classes), never O(trace).
 ///
-/// Element `i` of the result equals `replay(trace, &configs[i], max_cycles)`
-/// bit-for-bit for the fully-decoded equivalent trace — the walkers are the
-/// same chained [`MemWalkCore`]/[`FetchWalkCore`] the in-memory spans use,
-/// fed the identical per-segment record and folded-item slices.  The walk is
-/// serial (all classes advance together through each segment); callers
-/// wanting parallelism should decode fully and partition class × segment
-/// units instead.
+/// The same driver as [`replay_batch`], fed verified
+/// [`StreamedTrace::load_segment`] loads instead of borrowed slices, so
+/// element `i` equals `replay_batch` on the fully-decoded trace bit-for-bit.
+/// The walk is serial (all classes advance together through each segment);
+/// callers wanting parallelism should decode fully and partition class ×
+/// segment units instead.  A segment that fails to load or verify aborts
+/// the batch with its codec error.
 pub fn replay_batch_streamed(
     streamed: &StreamedTrace,
     configs: &[LeonConfig],
     max_cycles: u64,
 ) -> Result<Vec<Result<Stats, SimError>>, TraceCodecError> {
     let header = streamed.header();
-    let summary =
-        header.summary.as_ref().expect("a streamed trace is v2 and stores its summary");
-    let plan = BatchPlan::new(&header.captured, configs, max_cycles);
-
-    let mut mem_core = (!plan.mem_classes.is_empty()).then(|| {
-        record_trace_walk();
-        MemWalkCore::new(&plan.mem_classes)
-    });
-    let mut fetch_core = (!plan.fetch_classes.is_empty()).then(|| {
-        record_trace_walk();
-        FetchWalkCore::new(&plan.fetch_classes)
-    });
-
-    let mut mem_partials: Vec<MemSegmentPartial> = Vec::new();
-    let mut fetch_partials: Vec<FetchSegmentPartial> = Vec::new();
-    if mem_core.is_some() || fetch_core.is_some() {
-        for seg in 0..streamed.segment_count() {
-            let segment = streamed.load_segment(seg)?;
-            if let Some(core) = mem_core.as_mut() {
-                record_segment_walk();
-                mem_partials.push(core.walk_segment_folded(&segment.folded));
-            }
-            if let Some(core) = fetch_core.as_mut() {
-                record_segment_walk();
-                fetch_partials.push(core.walk_segment_ops(&segment.ops));
-            }
-        }
-    }
-
-    let mem = reduce_mem(summary, plan.mem_classes.len(), &mem_partials);
-    let fetch = reduce_fetch(summary, plan.fetch_classes.len(), &fetch_partials);
-    Ok(plan.finish(
-        summary,
-        header.base_icache,
-        header.base_dcache,
-        header.base_overflows,
-        header.base_underflows,
-        &mem,
-        &fetch,
-    ))
+    let captured = CapturedRun {
+        config: &header.captured,
+        summary: header.summary.as_ref().expect("a streamed trace is v2 and stores its summary"),
+        icache: header.base_icache,
+        dcache: header.base_dcache,
+        overflows: header.base_overflows,
+        underflows: header.base_underflows,
+    };
+    let plan = BatchPlan::new(captured, configs, max_cycles);
+    plan.run(streamed.segment_count(), |seg, walk| {
+        let segment = streamed.load_segment(seg)?;
+        walk(&segment.ops, &segment.folded);
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -2464,6 +2329,14 @@ mod tests {
     use super::*;
     use crate::config::{Multiplier, ReplacementPolicy};
     use leon_isa::{Asm, Reg};
+
+    /// Serialises the tests that walk a trace: two of them assert exact
+    /// deltas of the process-global walk counters.
+    static WALK_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn walk_guard() -> std::sync::MutexGuard<'static, ()> {
+        WALK_COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn demo_program() -> leon_isa::Program {
         let mut a = Asm::new("trace-demo");
@@ -2526,6 +2399,7 @@ mod tests {
 
     #[test]
     fn replay_retimes_cache_and_latency_perturbations_exactly() {
+        let _walks = walk_guard();
         let base = LeonConfig::base();
         let program = demo_program();
         let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
@@ -2569,6 +2443,7 @@ mod tests {
 
     #[test]
     fn replay_retimes_register_window_changes_exactly() {
+        let _walks = walk_guard();
         // the recursion depth (12) straddles every window count here, so the
         // trap pattern genuinely differs between configurations
         let base = LeonConfig::base();
@@ -2627,7 +2502,8 @@ mod tests {
     }
 
     #[test]
-    fn replay_batch_matches_elementwise_replay_on_a_mixed_batch() {
+    fn replay_batch_matches_full_simulation_on_a_mixed_batch() {
+        let _walks = walk_guard();
         let base = LeonConfig::base();
         for program in [demo_program(), recursing_program()] {
             let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
@@ -2657,10 +2533,15 @@ mod tests {
             configs.push(c);
 
             let batched = replay_batch(&trace, &configs, 1_000_000);
-            let elementwise: Vec<_> =
-                configs.iter().map(|c| replay(&trace, c, 1_000_000)).collect();
-            assert_eq!(batched, elementwise, "batch must equal element-wise replay exactly");
+            let simulated: Vec<_> = configs
+                .iter()
+                .map(|c| crate::simulate(c, &program, 1_000_000).map(|run| run.stats))
+                .collect();
+            assert_eq!(batched, simulated, "batch must equal full simulation exactly");
             assert!(matches!(batched[6], Err(SimError::InvalidConfig(_))));
+            // class dedup is invisible: a batch of N equals N batches of one
+            let singles: Vec<_> = configs.iter().map(|c| replay(&trace, c, 1_000_000)).collect();
+            assert_eq!(batched, singles);
         }
     }
 
@@ -2673,18 +2554,38 @@ mod tests {
         slow.iu.fast_decode = false;
         slow.iu.fast_jump = false;
         // budget exactly the base total: the base fits, the slowed config
-        // must exceed it — with the same error replay produces
+        // must exceed it — with the same error full simulation produces
         let results = replay_batch(&trace, &[base, slow], run.stats.cycles);
         assert_eq!(results[0].as_ref().unwrap().cycles, run.stats.cycles);
         assert_eq!(
             results[1],
             Err(SimError::CycleLimitExceeded { limit: run.stats.cycles })
         );
-        assert_eq!(results[1], replay(&trace, &slow, run.stats.cycles));
+        assert_eq!(
+            results[1].clone().unwrap_err(),
+            crate::simulate(&slow, &program, run.stats.cycles).unwrap_err()
+        );
+    }
+
+    /// Drive a memory span walker over every segment in order and reduce.
+    fn walk_mem_span(plan: &ReplayBatch, span: Range<usize>) -> Vec<(CacheStats, u64, u64)> {
+        let mut walker = plan.mem_span_walker(span.clone());
+        let partials: Vec<MemSegmentPartial> =
+            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
+        plan.reduce_mem_partials(span, &partials)
+    }
+
+    /// Drive a fetch span walker over every segment in order and reduce.
+    fn walk_fetch_span(plan: &ReplayBatch, span: Range<usize>) -> Vec<CacheStats> {
+        let mut walker = plan.fetch_span_walker(span.clone());
+        let partials: Vec<FetchSegmentPartial> =
+            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
+        plan.reduce_fetch_partials(span, &partials)
     }
 
     #[test]
     fn batch_plan_deduplicates_behavior_classes_and_walks_once_per_span() {
+        let _walks = walk_guard();
         let base = LeonConfig::base();
         let program = recursing_program();
         let (_, trace) = capture(&base, &program, 1_000_000).unwrap();
@@ -2709,22 +2610,20 @@ mod tests {
 
         // a span walk is exactly one counted pass over the stream
         let before = trace_walks_performed();
-        let mem = plan.walk_mem_span(0..plan.mem_class_count());
+        let mem = walk_mem_span(&plan, 0..plan.mem_class_count());
         assert_eq!(trace_walks_performed() - before, 1);
-        let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
-        assert_eq!(trace_walks_performed() - before, 2);
-        // empty spans are free
-        assert!(plan.walk_mem_span(0..0).is_empty());
+        let fetch = walk_fetch_span(&plan, 0..plan.fetch_class_count());
         assert_eq!(trace_walks_performed() - before, 2);
 
         // split spans produce the same per-class results as the fused pass
-        let first = plan.walk_mem_span(0..1);
-        let second = plan.walk_mem_span(1..2);
+        let first = walk_mem_span(&plan, 0..1);
+        let second = walk_mem_span(&plan, 1..2);
         assert_eq!(mem, [first, second].concat());
 
         let finished = plan.finish(&mem, &fetch);
         for (result, config) in finished.iter().zip(&configs) {
-            assert_eq!(result.as_ref().unwrap(), &replay(&trace, config, 1_000_000).unwrap());
+            let full = crate::simulate(config, &program, 1_000_000).unwrap();
+            assert_eq!(result.as_ref().unwrap(), &full.stats);
         }
     }
 
@@ -2735,7 +2634,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Trace>();
         assert_send_sync::<TraceOp>();
-        assert_send_sync::<MemOp>();
     }
 
     #[test]
@@ -2754,6 +2652,7 @@ mod tests {
 
     #[test]
     fn binary_codec_round_trips_exactly() {
+        let _walks = walk_guard();
         let mut config = LeonConfig::base();
         // a non-default capture configuration exercises every encoded field
         config.icache.ways = 2;
@@ -2846,7 +2745,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_and_mem_stream_are_consistent() {
+    fn summary_and_folded_stream_are_consistent() {
         let base = LeonConfig::base();
         let program = recursing_program();
         let (run, trace) = capture(&base, &program, 1_000_000).unwrap();
@@ -2857,10 +2756,15 @@ mod tests {
         assert_eq!(s.branches, run.stats.branches);
         assert_eq!(s.taken_branches, run.stats.taken_branches);
         assert_eq!(s.calls, run.stats.calls);
-        let mem_loads = trace.mem.iter().filter(|m| matches!(m, MemOp::Load(_))).count() as u64;
-        let saves = trace.mem.iter().filter(|m| matches!(m, MemOp::Save(_))).count() as u64;
-        assert_eq!(mem_loads, s.loads);
-        assert_eq!(saves, s.saves);
+        // every load/store is a run leader or folded into one; every window
+        // rotation is one marker
+        let (markers, accesses): (Vec<u64>, Vec<u64>) =
+            trace.folded.iter().partition(|&&item| item & FOLD_MARKER_BIT != 0);
+        let folded_accesses: u64 =
+            accesses.iter().map(|item| 1 + (item >> TagCache::MEM_RUN_SHIFT)).sum();
+        assert_eq!(folded_accesses, s.loads + s.stores);
+        let restores = markers.iter().filter(|&&m| m & FOLD_RESTORE_BIT != 0).count() as u64;
+        assert_eq!((markers.len() as u64 - restores, restores), (s.saves, s.restores));
         assert!(s.saves > 0 && s.restores > 0, "recursion must rotate windows");
     }
 
@@ -2879,6 +2783,7 @@ mod tests {
 
     #[test]
     fn resegmented_traces_replay_and_round_trip_identically() {
+        let _walks = walk_guard();
         let base = LeonConfig::base();
         let configs = mixed_batch(&base);
         for program in [demo_program(), recursing_program()] {
@@ -2903,7 +2808,8 @@ mod tests {
     }
 
     #[test]
-    fn streamed_replay_matches_in_memory_replay() {
+    fn streamed_replay_matches_full_simulation() {
+        let _walks = walk_guard();
         let base = LeonConfig::base();
         let configs = mixed_batch(&base);
         for program in [demo_program(), recursing_program()] {
@@ -2919,7 +2825,11 @@ mod tests {
             assert_eq!(streamed.header().captured, trace.captured);
 
             let got = replay_batch_streamed(&streamed, &configs, 1_000_000).unwrap();
-            assert_eq!(got, replay_batch(&trace, &configs, 1_000_000));
+            let simulated: Vec<_> = configs
+                .iter()
+                .map(|c| crate::simulate(c, &program, 1_000_000).map(|run| run.stats))
+                .collect();
+            assert_eq!(got, simulated);
 
             // payload corruption passes open() (header-only) but is caught
             // by the damaged segment's checksum on load
@@ -2933,6 +2843,7 @@ mod tests {
 
     #[test]
     fn v1_traces_still_decode_and_replay() {
+        let _walks = walk_guard();
         let base = LeonConfig::base();
         let (_, trace) = capture(&base, &recursing_program(), 1_000_000).unwrap();
         let bytes = trace.to_bytes_v1();
@@ -2957,6 +2868,7 @@ mod tests {
 
     #[test]
     fn segment_walkers_tick_the_segment_counter() {
+        let _walks = walk_guard();
         let base = LeonConfig::base();
         let (_, mut trace) = capture(&base, &recursing_program(), 1_000_000).unwrap();
         let step = (trace.ops.len() / 4).max(1);
@@ -2965,23 +2877,24 @@ mod tests {
         let segments = trace.segment_count() as u64;
         assert!(segments >= 3);
 
+        // the serial driver: one walk per perturbed stream, one tick per
+        // segment of each
         let configs = mixed_batch(&base);
-        let plan = ReplayBatch::new(&trace, &configs, 1_000_000);
         let walks_before = trace_walks_performed();
         let segs_before = trace_segments_walked();
-        let mem = plan.walk_mem_span(0..plan.mem_class_count());
-        let fetch = plan.walk_fetch_span(0..plan.fetch_class_count());
+        let serial = replay_batch(&trace, &configs, 1_000_000);
         assert_eq!(trace_walks_performed() - walks_before, 2);
         assert_eq!(trace_segments_walked() - segs_before, 2 * segments);
 
-        // per-segment partials reduce to exactly the fused span results
-        let mut walker = plan.mem_span_walker(0..plan.mem_class_count());
-        let partials: Vec<MemSegmentPartial> =
-            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-        assert_eq!(plan.reduce_mem_partials(0..plan.mem_class_count(), &partials), mem);
-        let mut walker = plan.fetch_span_walker(0..plan.fetch_class_count());
-        let partials: Vec<FetchSegmentPartial> =
-            (0..walker.segment_count()).map(|seg| walker.walk_segment(seg)).collect();
-        assert_eq!(plan.reduce_fetch_partials(0..plan.fetch_class_count(), &partials), fetch);
+        // the parked span walkers tick the same way and reduce to the same
+        // results
+        let plan = ReplayBatch::new(&trace, &configs, 1_000_000);
+        let walks_before = trace_walks_performed();
+        let segs_before = trace_segments_walked();
+        let mem = walk_mem_span(&plan, 0..plan.mem_class_count());
+        let fetch = walk_fetch_span(&plan, 0..plan.fetch_class_count());
+        assert_eq!(trace_walks_performed() - walks_before, 2);
+        assert_eq!(trace_segments_walked() - segs_before, 2 * segments);
+        assert_eq!(plan.finish(&mem, &fetch), serial);
     }
 }

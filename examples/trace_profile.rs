@@ -1,7 +1,7 @@
 //! Print the trace-engine profile of every benchmark workload: dynamic
-//! instruction count, record counts after fetch-run compression, and the
-//! event mix that decides which replay tier (closed-form / memory-walk /
-//! fetch-walk) a perturbation uses.
+//! instruction count, record and folded memory-item counts after
+//! compression, and the event mix that decides which replay tier
+//! (closed-form / memory-walk / fetch-walk) a perturbation uses.
 //!
 //! ```sh
 //! cargo run --release --example trace_profile
@@ -14,7 +14,7 @@ fn main() {
     let base = LeonConfig::base();
     println!(
         "{:<8} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>9} {:>7} {:>9}",
-        "workload", "instrs", "records", "mem ops", "branches", "loads", "stores", "mul/div", "traps", "KiB"
+        "workload", "instrs", "records", "folded", "branches", "loads", "stores", "mul/div", "traps", "KiB"
     );
     for workload in benchmark_suite(Scale::Tiny) {
         let program = workload.build();
@@ -25,7 +25,7 @@ fn main() {
             workload.name(),
             s.instructions,
             trace.len(),
-            trace.mem.len(),
+            trace.folded.len(),
             s.branches,
             s.loads,
             s.stores,

@@ -1,4 +1,4 @@
-//! Trace-walk budget contract of the batched replay engine.
+//! Trace-walk budget contract of the replay engine.
 //!
 //! The batched engine's reason to exist is that a sweep of N configurations
 //! over one trace must no longer decode the op stream N times.  These tests
@@ -8,13 +8,14 @@
 //!   behavior class** — and exactly one pass per trace stream when the
 //!   classes are not partitioned across workers (`threads = 1`);
 //! * the Figure 2 exhaustive d-cache sweep collapses to a single
-//!   memory-stream pass, where the per-config kernel pays one walk per
-//!   feasible non-base geometry;
+//!   memory-stream pass;
 //! * the segmented engine's finer-grained `trace_segments_walked` counter
 //!   stays within classes × segments (parallel table) and hits exactly one
 //!   tick per segment for the fused Figure 2 pass;
-//! * both engines produce byte-identical tables/sweeps (`serde_json`
-//!   compared), so the walk budget is a pure cost change.
+//! * `replay` of one configuration is a batch of one: it walks only the
+//!   streams its configuration perturbs, each once;
+//! * the replayed tables/sweeps are byte-identical (`serde_json` compared)
+//!   to full simulation, so the walk budget is a pure cost change.
 //!
 //! The walk counter is process-global, so every test in this binary takes
 //! one shared lock around its delta measurements (the
@@ -26,10 +27,10 @@ use std::sync::Mutex;
 use liquid_autoreconf::apps::{capture_verified, Blastn, Scale};
 use liquid_autoreconf::fpga::SynthesisModel;
 use liquid_autoreconf::sim::{
-    trace_segments_walked, trace_walks_performed, CacheConfig, LeonConfig,
+    replay, trace_segments_walked, trace_walks_performed, CacheConfig, LeonConfig,
 };
 use liquid_autoreconf::tuner::{
-    dcache_exhaustive_traced, dcache_exhaustive_traced_per_config, measure_cost_table_traced,
+    dcache_exhaustive_full, dcache_exhaustive_traced, measure_cost_table_traced,
     MeasurementOptions, ParameterSpace,
 };
 
@@ -38,16 +39,16 @@ const MAX_CYCLES: u64 = 400_000_000;
 /// Serialises this binary's counter-delta measurements.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
-fn options(threads: usize, batch_replay: bool) -> MeasurementOptions {
-    MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay: true, batch_replay }
+fn options(threads: usize, use_replay: bool) -> MeasurementOptions {
+    MeasurementOptions { max_cycles: MAX_CYCLES, threads, use_replay }
 }
 
 /// Independently re-derive the batch's behavior classes from the parameter
 /// space: every distinct (d-cache geometry, window count) pair and every
 /// distinct i-cache geometry — over perturbations *and* enabler references —
 /// that differs from the capturing configuration.  Also counts the timed
-/// configurations that would walk at least one stream under the per-config
-/// engine.
+/// configurations that walk at least one stream when replayed one at a
+/// time.
 fn distinct_classes(
     space: &ParameterSpace,
     base: &LeonConfig,
@@ -134,27 +135,23 @@ fn cost_table_walks_at_most_once_per_behavior_class() {
          segments ({segments})"
     );
 
-    // the per-config engine pays one walk per walked configuration — the
-    // cost the batched engine amortises away
-    let before = trace_walks_performed();
-    let per_config =
-        measure_cost_table_traced(&space, &workload, &base, &model, &options(1, false), &trace)
-            .unwrap();
-    let per_config_walks = trace_walks_performed() - before;
+    // one batch of one per walked configuration would pay at least one walk
+    // per class — the cost the batched engine amortises away
     assert!(
-        per_config_walks >= classes as u64,
-        "per-config engine must walk at least once per class ({classes}), \
-         walked {per_config_walks}"
-    );
-    assert!(
-        serial_walks < per_config_walks,
-        "batching must reduce the walk count ({serial_walks} vs {per_config_walks})"
+        serial_walks < walked_configs as u64,
+        "batching must reduce the walk count ({serial_walks} vs {walked_configs})"
     );
 
-    // and the budget is a pure cost change: all three tables byte-identical
-    let serial_json = serde_json::to_string(&serial).unwrap();
-    assert_eq!(serial_json, serde_json::to_string(&parallel).unwrap());
-    assert_eq!(serial_json, serde_json::to_string(&per_config).unwrap());
+    // and the budget is a pure cost change: both tables byte-identical to
+    // the full-simulation oracle, which walks no trace at all
+    let before = trace_walks_performed();
+    let simulated =
+        measure_cost_table_traced(&space, &workload, &base, &model, &options(4, false), &trace)
+            .unwrap();
+    assert_eq!(trace_walks_performed() - before, 0, "full simulation never walks a trace");
+    let simulated_json = serde_json::to_string(&simulated).unwrap();
+    assert_eq!(serde_json::to_string(&serial).unwrap(), simulated_json);
+    assert_eq!(serde_json::to_string(&parallel).unwrap(), simulated_json);
 }
 
 #[test]
@@ -181,21 +178,38 @@ fn fig2_sweep_collapses_to_one_memory_stream_pass() {
         "that one pass visits each of the trace's segments exactly once"
     );
 
-    let before = trace_walks_performed();
-    let per_config =
-        dcache_exhaustive_traced_per_config(&trace, &base, &model, MAX_CYCLES, 1).unwrap();
-    let per_config_walks = trace_walks_performed() - before;
-    let walked_rows =
-        batched.iter().filter(|r| r.fits && (r.ways, r.way_kb) != (1, 4)).count() as u64;
-    assert_eq!(
-        per_config_walks, walked_rows,
-        "per-config sweep walks once per feasible non-base geometry"
-    );
-    assert!(per_config_walks > batched_walks);
-
+    let simulated = dcache_exhaustive_full(&workload, &base, &model, MAX_CYCLES).unwrap();
     assert_eq!(
         serde_json::to_string(&batched).unwrap(),
-        serde_json::to_string(&per_config).unwrap(),
-        "both engines must produce identical Figure 2 rows"
+        serde_json::to_string(&simulated).unwrap(),
+        "the replayed sweep must reproduce the full-simulation Figure 2 rows"
     );
+}
+
+#[test]
+fn replay_of_one_configuration_walks_only_what_it_perturbs() {
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+
+    let workload = Blastn::scaled(Scale::Tiny);
+    let base = LeonConfig::base();
+    let (run, trace) = capture_verified(&workload, &base, MAX_CYCLES).unwrap();
+    let segments = trace.segment_count() as u64;
+    let mut dcache_only = base;
+    dcache_only.dcache.way_kb = 1;
+    let mut both = dcache_only;
+    both.icache.way_kb = 1;
+
+    // (configuration, expected walks, expected segment ticks)
+    for (config, walks, segment_ticks) in
+        [(base, 0, 0), (dcache_only, 1, segments), (both, 2, 2 * segments)]
+    {
+        let walks_before = trace_walks_performed();
+        let segs_before = trace_segments_walked();
+        let stats = replay(&trace, &config, MAX_CYCLES).unwrap();
+        assert_eq!(trace_walks_performed() - walks_before, walks, "{config:?}");
+        assert_eq!(trace_segments_walked() - segs_before, segment_ticks, "{config:?}");
+        if config == base {
+            assert_eq!(stats, run.stats, "the captured configuration replays verbatim");
+        }
+    }
 }

@@ -220,13 +220,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The one-pass batched engine against the anchor above: for a random
-    /// batch of valid geometries — salted with a duplicate, the captured
-    /// configuration itself and a structurally invalid config —
-    /// `replay_batch` must equal element-wise `replay` bit-for-bit
-    /// (successes *and* errors), on every workload, both through the serial
-    /// fused walk and through the class-partitioned worker pool at
-    /// `threads = 1` and `threads = 4`.
+    /// The batched engine against the oracle: for a random batch of valid
+    /// geometries — salted with a duplicate, the captured configuration
+    /// itself and a structurally invalid config — `replay_batch` must equal
+    /// full simulation bit-for-bit (successes *and* errors), on every
+    /// workload, both through the serial driver and through the
+    /// class-partitioned worker pool at `threads = 1` and `threads = 4`.
+    /// Class dedup must be invisible too: the batch of N equals N batches
+    /// of one (element-wise `replay`).
     #[test]
     fn replay_batch_matches_elementwise_replay(
         seeds in proptest::collection::vec(any::<u64>(), 1..8)
@@ -239,18 +240,23 @@ proptest! {
         invalid.dcache.way_kb = 3; // structurally invalid
         configs.push(invalid);
 
-        for (name, _program, trace) in captured_suite() {
+        for (name, program, trace) in captured_suite() {
+            let simulated: Vec<_> = configs
+                .iter()
+                .map(|c| sim::simulate(c, program, MAX_CYCLES).map(|run| run.stats))
+                .collect();
+            let batched = sim::replay_batch(trace, &configs, MAX_CYCLES);
+            prop_assert_eq!(&batched, &simulated, "{}: serial batch diverged", name);
             let elementwise: Vec<_> =
                 configs.iter().map(|c| sim::replay(trace, c, MAX_CYCLES)).collect();
-            let batched = sim::replay_batch(trace, &configs, MAX_CYCLES);
-            prop_assert_eq!(&batched, &elementwise, "{}: serial batch diverged", name);
+            prop_assert_eq!(&elementwise, &simulated, "{}: batches of one diverged", name);
             for threads in [1usize, 4] {
                 let pooled = liquid_autoreconf::tuner::replay_batch_indexed(
                     trace, &configs, MAX_CYCLES, threads,
                 );
                 prop_assert_eq!(
                     &pooled,
-                    &elementwise,
+                    &simulated,
                     "{}: class-partitioned batch diverged at threads={}",
                     name,
                     threads
@@ -273,17 +279,20 @@ fn trace_is_compact() {
             "{}: fetch runs should compress the record stream",
             workload.name()
         );
-        // 12-byte packed records plus the compact memory stream, plus the
-        // v2 bookkeeping: pre-folded hit runs and per-segment checkpoints
-        let mem_op_bytes = std::mem::size_of::<liquid_autoreconf::sim::trace::MemOp>();
+        // 12-byte packed records plus the folded memory stream (one 8-byte
+        // item per run leader or window marker, never more than one per
+        // load/store/rotation) plus the per-segment checkpoints
         let seg_meta_bytes = std::mem::size_of::<liquid_autoreconf::sim::trace::SegmentMeta>();
         assert_eq!(
             trace.memory_bytes(),
-            trace.len() * 12
-                + trace.mem.len() * mem_op_bytes
-                + trace.folded.len() * 8
-                + trace.segment_count() * seg_meta_bytes,
+            trace.len() * 12 + trace.folded.len() * 8 + trace.segment_count() * seg_meta_bytes,
             "{}",
+            workload.name()
+        );
+        let s = &trace.summary;
+        assert!(
+            trace.folded.len() as u64 <= s.loads + s.stores + s.saves + s.restores,
+            "{}: folding must never expand the memory stream",
             workload.name()
         );
         // the checkpoint overhead itself stays negligible next to the streams

@@ -2,14 +2,14 @@
 //! trace is cut into segments is a pure representation choice.  For any
 //! segmentation — including pathological ones: one record per segment, a
 //! boundary in the middle of a window-trap burst, a boundary splitting a
-//! compressed run — batched replay must be bit-identical to the monolithic
-//! walk, through every engine:
+//! compressed run — batched replay must be bit-identical to full
+//! simulation, through every driver and segment source:
 //!
-//! * the serial fused walk (`replay_batch`),
+//! * the serial driver over in-memory segments (`replay_batch`),
 //! * the class-span × segment worker pool (`replay_batch_indexed`) at
 //!   `threads = 1` and `threads = 4`,
-//! * the streaming decoder (`replay_batch_streamed`), which materialises
-//!   one segment at a time from the serialised bytes,
+//! * the serial driver over streamed segments (`replay_batch_streamed`),
+//!   which materialises one segment at a time from the serialised bytes,
 //! * and a legacy v1 round-trip (`to_bytes_v1` → `from_bytes`), which must
 //!   still decode and replay identically.
 //!
@@ -18,6 +18,7 @@
 use std::sync::OnceLock;
 
 use liquid_autoreconf::apps::{benchmark_suite, Scale};
+use liquid_autoreconf::isa::Program;
 use liquid_autoreconf::sim::{
     self, CacheConfig, Divider, LeonConfig, Multiplier, ReplacementPolicy, SimError,
     StreamedTrace, Trace,
@@ -26,20 +27,25 @@ use proptest::prelude::*;
 
 const MAX_CYCLES: u64 = 400_000_000;
 
-/// One captured trace per suite workload, shared by every test case
-/// (capture is the expensive part and is segmentation-free).
-fn captured_suite() -> &'static Vec<(String, Trace)> {
-    static SUITE: OnceLock<Vec<(String, Trace)>> = OnceLock::new();
+/// One captured (program, trace) per suite workload, shared by every test
+/// case (capture is the expensive part and is segmentation-free).
+fn captured_suite() -> &'static Vec<(String, Program, Trace)> {
+    static SUITE: OnceLock<Vec<(String, Program, Trace)>> = OnceLock::new();
     SUITE.get_or_init(|| {
         benchmark_suite(Scale::Tiny)
             .iter()
             .map(|w| {
                 let program = w.build();
                 let (_, trace) = sim::capture(&LeonConfig::base(), &program, MAX_CYCLES).unwrap();
-                (w.name().to_string(), trace)
+                (w.name().to_string(), program, trace)
             })
             .collect()
     })
+}
+
+/// The oracle: every configuration of the batch fully simulated.
+fn simulated(program: &Program, configs: &[LeonConfig]) -> Vec<Result<sim::Stats, SimError>> {
+    configs.iter().map(|c| sim::simulate(c, program, MAX_CYCLES).map(|run| run.stats)).collect()
 }
 
 /// splitmix64 step, the `replay_equivalence` seed-decoding idiom.
@@ -117,8 +123,8 @@ fn mixed_batch() -> Vec<LeonConfig> {
     vec![base, dcache_small, icache_small, closed_form, invalid]
 }
 
-/// Replay `configs` through every segmented engine and check each against
-/// `expected` (the monolithic-walk result for the same batch).
+/// Replay `configs` through every driver and segment source and check each
+/// against `expected` (full simulation of the same batch).
 fn assert_all_engines_match(
     name: &str,
     tag: &str,
@@ -127,7 +133,7 @@ fn assert_all_engines_match(
     expected: &[Result<sim::Stats, SimError>],
 ) {
     let serial = sim::replay_batch(seg, configs, MAX_CYCLES);
-    assert_eq!(serial, expected, "{name}/{tag}: serial fused walk diverged");
+    assert_eq!(serial, expected, "{name}/{tag}: serial driver diverged");
     for threads in [1usize, 4] {
         let pooled =
             liquid_autoreconf::tuner::replay_batch_indexed(seg, configs, MAX_CYCLES, threads);
@@ -143,10 +149,10 @@ fn assert_all_engines_match(
 #[test]
 fn pathological_segmentations_are_bit_identical() {
     let configs = mixed_batch();
-    for (name, trace) in captured_suite() {
+    for (name, program, trace) in captured_suite() {
         let n = trace.len();
         assert!(n > 2, "{name}: trace too small to segment meaningfully");
-        let expected = sim::replay_batch(trace, &configs, MAX_CYCLES);
+        let expected = simulated(program, &configs);
 
         // one record per segment: every window-trap burst and every
         // compressed run that spans records is split somewhere
@@ -172,8 +178,8 @@ fn pathological_segmentations_are_bit_identical() {
 #[test]
 fn v1_round_trip_replays_identically() {
     let configs = mixed_batch();
-    for (name, trace) in captured_suite() {
-        let expected = sim::replay_batch(trace, &configs, MAX_CYCLES);
+    for (name, program, trace) in captured_suite() {
+        let expected = simulated(program, &configs);
         let v1 = Trace::from_bytes(&trace.to_bytes_v1())
             .unwrap_or_else(|e| panic!("{name}: v1 decode failed: {e}"));
         let replayed = sim::replay_batch(&v1, &configs, MAX_CYCLES);
@@ -185,9 +191,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For a random segmentation and a random batch of valid geometries
-    /// (salted with the captured config and an invalid one), every
-    /// segmented engine must be bit-identical to the monolithic walk on
-    /// every workload of the suite.
+    /// (salted with the captured config and an invalid one), every driver
+    /// and segment source must be bit-identical to full simulation on every
+    /// workload of the suite.
     #[test]
     fn random_segmentations_replay_identically(
         seeds in proptest::collection::vec(any::<u64>(), 1..5),
@@ -200,8 +206,8 @@ proptest! {
         invalid.dcache.way_kb = 3; // structurally invalid
         configs.push(invalid);
 
-        for (name, trace) in captured_suite() {
-            let expected = sim::replay_batch(trace, &configs, MAX_CYCLES);
+        for (name, program, trace) in captured_suite() {
+            let expected = simulated(program, &configs);
             let boundaries = boundaries_from_seed(cut_seed, trace.len());
             let mut seg = trace.clone();
             seg.resegment_at(&boundaries);
