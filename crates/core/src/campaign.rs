@@ -979,13 +979,15 @@ impl Campaign {
     }
 
     /// Open the workload's stored trace entry for segment-at-a-time
-    /// streaming, if the store holds a structurally valid version-2 entry
-    /// captured on this campaign's base configuration.
+    /// streaming, if the store holds an entry whose header verifies and
+    /// which was captured on this campaign's base configuration.
     ///
     /// `None` (→ the caller falls back to full materialisation) on a
-    /// missing entry, a version-1 payload, a damaged header, or a foreign
-    /// capture configuration.  Per-segment corruption deeper in the payload
-    /// is only caught when the segment is fetched.
+    /// missing entry, another format version, a damaged header (the header
+    /// checksum covers the capture configuration, base statistics, summary
+    /// and segment index), or a foreign capture configuration.  Per-segment
+    /// corruption deeper in the payload is caught when the segment is
+    /// fetched.
     fn open_streamed_trace(&self, workload_fp: u64) -> Option<leon_sim::StreamedTrace> {
         let store = self.store.as_ref()?;
         let reader = store.open_payload_reader("trace", self.trace_key(workload_fp))?;
@@ -1470,11 +1472,11 @@ impl<'a> CampaignSession<'a> {
     /// The workload's Figure 2 sweep; a store hit never touches the trace.
     ///
     /// On a sweep miss with the trace *not yet resident*, the recompute
-    /// first tries the streaming path: the stored v2 trace entry is replayed
+    /// first tries the streaming path: the stored trace entry is replayed
     /// one segment at a time ([`crate::dcache_study::dcache_exhaustive_traced_streamed`])
     /// without ever materialising the whole op vector — the bounded-memory
-    /// half of the segmented-trace contract.  A damaged or version-1 entry
-    /// falls back to the full decode path, which detects and heals it.
+    /// half of the segmented-trace contract.  A damaged or stale-version
+    /// entry falls back to the full decode path, which detects and heals it.
     pub fn sweep(&self, index: usize) -> Result<&Vec<DcacheRow>, OptimizeError> {
         self.sweeps[index].get_or_try_materialize(|| {
             let fp = self.fingerprints[index];

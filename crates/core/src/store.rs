@@ -19,11 +19,11 @@
 //!   weights, format versions).  A changed input is a different key, i.e. a
 //!   miss, i.e. a recompute.  Nothing is ever invalidated in place.
 //! * **Corruption-safe loads** — every entry carries a magic, the store
-//!   format version, its kind, its own fingerprint and a 64-bit FNV-1a
-//!   checksum of the payload.  Truncation, bit rot, renamed files (across
-//!   keys *or* kinds), version skew or a half-written entry all fail
-//!   validation, count as a miss (recorded in [`StoreStats::corrupt`]), and
-//!   fall back to recompute.
+//!   format version, its kind, its own fingerprint and a 64-bit
+//!   [`leon_sim::checksum64`] (XXH64) checksum of the payload.
+//!   Truncation, bit rot, renamed files (across keys *or* kinds), version
+//!   skew or a half-written entry all fail validation, count as a miss
+//!   (recorded in [`StoreStats::corrupt`]), and fall back to recompute.
 //! * **Atomic writes** — entries are written to a temporary file in the
 //!   store directory and `rename`d into place, so a crash mid-write leaves
 //!   either the old entry or no entry, never a torn one.  Concurrent writers
@@ -82,7 +82,7 @@ use serde::{Deserialize, Serialize};
 /// Bump on any change to the envelope layout; old entries then fail to load
 /// and are transparently recomputed.  Payload formats carry their own
 /// versions on top of this (e.g. [`leon_sim::TRACE_FORMAT_VERSION`]).
-pub const STORE_FORMAT_VERSION: u32 = 1;
+pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// Version of the *measurement results* encoded into every fingerprint.
 ///
@@ -418,7 +418,7 @@ pub struct ManifestEntry {
     pub fingerprint: u64,
     /// Payload size in bytes (the entry file is 40 bytes larger).
     pub payload_len: u64,
-    /// FNV-1a checksum of the payload (mirrors the envelope field).
+    /// [`leon_sim::checksum64`] of the payload (mirrors the envelope field).
     pub checksum: u64,
     /// Logical access stamp: the manifest clock value of the most recent
     /// save or load of this entry.  Larger = more recently used.
@@ -554,7 +554,7 @@ impl leon_sim::SegmentRead for PayloadReader {
 pub struct EntryMeta {
     /// Payload size in bytes.
     pub payload_len: u64,
-    /// FNV-1a checksum of the payload, as recorded in the envelope.
+    /// [`leon_sim::checksum64`] of the payload, as recorded in the envelope.
     pub checksum: u64,
 }
 
@@ -649,17 +649,13 @@ pub struct DoctorReport {
     /// `.pin-*` markers still inside their TTL: a session in this or
     /// another process holds the entry pinned.  Informational, never dirt.
     pub active_pins: usize,
-    /// Trace entries in the legacy version-1 (monolithic) codec.  They
-    /// still load — the decoder keeps v1 support — but re-serialising
-    /// (or re-capturing) upgrades them to the segmented format.
-    pub trace_v1_entries: usize,
-    /// Trace entries in the segmented version-2 codec whose segment index
-    /// and per-segment checksums all validate.
-    pub trace_v2_entries: usize,
+    /// Trace entries whose header checksum, segment index and per-segment
+    /// checksums all validate.
+    pub trace_entries: usize,
     /// Trace entries whose envelope checksum passes but whose embedded
-    /// trace fails structural validation — a broken segment index (offsets
-    /// not monotone, payload mis-tiled) or a per-segment checksum mismatch
-    /// (deleted when repairing).
+    /// trace fails validation — a header checksum mismatch, a broken
+    /// segment index (offsets not monotone, payload mis-tiled) or a
+    /// per-segment checksum mismatch (deleted when repairing).
     pub segment_index_errors: usize,
     /// `search` entries whose payload deserialises as a search outcome.
     pub search_entries: usize,
@@ -725,17 +721,8 @@ impl DoctorReport {
                 self.active_pins
             ));
         }
-        if self.trace_v1_entries + self.trace_v2_entries > 0 {
-            out.push_str(&format!(
-                "  traces: {} segmented (v2), {} legacy (v1)\n",
-                self.trace_v2_entries, self.trace_v1_entries
-            ));
-            if self.trace_v1_entries > 0 && self.trace_v2_entries > 0 {
-                out.push_str(
-                    "  mixed-version store: v1 entries still load, and refresh to v2 \
-                     on the next capture\n",
-                );
-            }
+        if self.trace_entries > 0 {
+            out.push_str(&format!("  traces: {} segmented\n", self.trace_entries));
         }
         if self.search_entries > 0 {
             out.push_str(&format!("  searches: {} well-formed outcome(s)\n", self.search_entries));
@@ -1531,7 +1518,7 @@ impl ArtifactStore {
 
     /// Store `payload` under `(kind, key)`, atomically.
     pub fn save(&self, kind: &str, key: Fingerprint, payload: &[u8]) -> std::io::Result<()> {
-        let checksum = leon_sim::fnv1a64(payload);
+        let checksum = leon_sim::checksum64(payload);
         let mut body = Vec::with_capacity(ENVELOPE_LEN + payload.len());
         body.extend_from_slice(&ENTRY_MAGIC);
         body.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
@@ -1657,10 +1644,12 @@ impl ArtifactStore {
     /// The envelope is validated exactly like [`ArtifactStore::peek`]; the
     /// payload checksum is deliberately **not** verified here (that would
     /// read the whole payload), so this is only suitable for payload
-    /// formats carrying their own integrity data — the v2 trace codec's
-    /// per-segment checksums.  A successful open counts as a hit and stamps
-    /// the manifest clock; a missing/invalid envelope returns `None`
-    /// without counting a miss (the caller's fallback `load` does).
+    /// formats carrying their own integrity data — the trace codec's
+    /// header checksum (verified by [`leon_sim::StreamedTrace::open`]) and
+    /// per-segment checksums (verified by each segment load).  A successful
+    /// open counts as a hit and stamps the manifest clock; a missing/invalid
+    /// envelope returns `None` without counting a miss (the caller's
+    /// fallback `load` does).
     pub fn open_payload_reader(&self, kind: &str, key: Fingerprint) -> Option<PayloadReader> {
         let meta = self.peek(kind, key)?;
         let file = std::fs::File::open(self.entry_path(kind, key)).ok()?;
@@ -1710,21 +1699,21 @@ impl ArtifactStore {
             return None;
         }
         let checksum = field(32);
-        if checksum != leon_sim::fnv1a64(payload) {
+        if checksum != leon_sim::checksum64(payload) {
             return None;
         }
         bytes.drain(0..ENVELOPE_LEN);
         Some((bytes, checksum))
     }
 
-    /// Codec version of the trace embedded in a stored `trace` payload, or
-    /// `None` when its structure does not validate (`store doctor`'s inner
-    /// integrity pass): the 16-byte base-cost prefix must be present, the
-    /// trace header must parse, and — for the segmented v2 codec — the
+    /// Whether the trace embedded in a stored `trace` payload validates
+    /// (`store doctor`'s inner integrity pass): the 16-byte base-cost prefix
+    /// must be present, and the trace's header checksum, header fields,
     /// segment index and every per-segment checksum must check out.
-    fn stored_trace_version(payload: &[u8]) -> Option<u32> {
-        let trace_bytes = payload.get(crate::campaign::STORED_TRACE_PREFIX_LEN..)?;
-        leon_sim::Trace::validate_segments(trace_bytes).ok().map(|h| h.version)
+    fn stored_trace_validates(payload: &[u8]) -> bool {
+        payload
+            .get(crate::campaign::STORED_TRACE_PREFIX_LEN..)
+            .is_some_and(|trace| leon_sim::Trace::validate_segments(trace).is_ok())
     }
 
     /// Store a serde-serialisable value as a JSON payload under `(kind, key)`.
@@ -1926,11 +1915,11 @@ impl ArtifactStore {
     /// Verify the store end to end: every entry's envelope *and payload
     /// checksum*, the manifest ↔ directory correspondence, and leftover
     /// temporary files.  Trace entries get a deeper pass — the embedded
-    /// trace's segment index and (v2) per-segment checksums are validated,
-    /// and the report breaks out legacy-v1 vs segmented-v2 counts so a
-    /// mixed-version store is visible.  With `repair`, corrupt entries and
-    /// stray files are deleted and the manifest is rebuilt to match the
-    /// surviving entries (preserving access stamps where known).
+    /// trace's header checksum, segment index and per-segment checksums are
+    /// validated, because the streamed read path trusts them without the
+    /// envelope checksum.  With `repair`, corrupt entries and stray files
+    /// are deleted and the manifest is rebuilt to match the surviving
+    /// entries (preserving access stamps where known).
     pub fn doctor(&self, repair: bool) -> std::io::Result<DoctorReport> {
         let mut state = self.shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
         self.sync_with_disk_locked(&mut state);
@@ -1945,24 +1934,17 @@ impl ArtifactStore {
             });
             match (id, ok) {
                 (Some((kind, key)), Some((payload, checksum))) => {
-                    // trace entries carry their own inner structure (segment
-                    // index + per-segment checksums in v2) that the envelope
-                    // checksum cannot vouch for — validate it here, where
-                    // the payload is already in hand
+                    // trace entries carry their own inner checksums (header
+                    // + per-segment) that the streamed read path relies on
+                    // and the envelope checksum cannot vouch for — validate
+                    // them here, where the payload is already in hand
                     let trace_ok = if kind == "trace" {
-                        match Self::stored_trace_version(&payload) {
-                            Some(1) => {
-                                report.trace_v1_entries += 1;
-                                true
-                            }
-                            Some(_) => {
-                                report.trace_v2_entries += 1;
-                                true
-                            }
-                            None => {
-                                report.segment_index_errors += 1;
-                                false
-                            }
+                        if Self::stored_trace_validates(&payload) {
+                            report.trace_entries += 1;
+                            true
+                        } else {
+                            report.segment_index_errors += 1;
+                            false
                         }
                     } else if kind == "search" {
                         // search outcomes are structured JSON the envelope
@@ -2407,7 +2389,7 @@ mod tests {
 
         let meta = store.peek("table", key).expect("entry is present");
         assert_eq!(meta.payload_len, 10);
-        assert_eq!(meta.checksum, leon_sim::fnv1a64(b"0123456789"));
+        assert_eq!(meta.checksum, leon_sim::checksum64(b"0123456789"));
         assert!(store.contains("table", key));
         // wrong kind, wrong key: envelope mismatch
         assert_eq!(store.peek("trace", key), None);
@@ -2855,24 +2837,20 @@ mod tests {
         let program = a.assemble().unwrap();
         let (_, trace) =
             leon_sim::capture(&leon_sim::LeonConfig::base(), &program, 1_000_000).unwrap();
-        let v2 = trace.to_bytes();
-        let v1 = trace.to_bytes_v1();
+        let good = trace.to_bytes();
 
-        let k_v2 = FingerprintBuilder::new().str("trace-v2").finish();
-        let k_v1 = FingerprintBuilder::new().str("trace-v1").finish();
-        store.save("trace", k_v2, &stored_trace_payload(&v2)).unwrap();
-        store.save("trace", k_v1, &stored_trace_payload(&v1)).unwrap();
+        let k_good = FingerprintBuilder::new().str("trace-good").finish();
+        store.save("trace", k_good, &stored_trace_payload(&good)).unwrap();
         let report = store.doctor(false).unwrap();
         assert!(report.is_clean(), "{report:?}");
-        assert_eq!((report.trace_v2_entries, report.trace_v1_entries), (1, 1));
-        assert!(report.render().contains("mixed-version store"));
+        assert_eq!(report.trace_entries, 1);
+        assert!(report.render().contains("traces: 1 segmented"));
 
-        // flip the last payload byte of the trace (just ahead of its
-        // trailing whole-file checksum) and re-save: the store envelope is
-        // recomputed over the damaged bytes and validates, so only the
-        // inner per-segment checksum can catch it
-        let mut bad = v2.clone();
-        let at = bad.len() - 9;
+        // flip the last payload byte of the trace and re-save: the store
+        // envelope is recomputed over the damaged bytes and validates, so
+        // only the inner per-segment checksum can catch it
+        let mut bad = good.clone();
+        let at = bad.len() - 1;
         bad[at] ^= 0xff;
         let k_bad = FingerprintBuilder::new().str("trace-bad").finish();
         store.save("trace", k_bad, &stored_trace_payload(&bad)).unwrap();
@@ -2886,9 +2864,9 @@ mod tests {
         assert!(store.doctor(true).unwrap().repaired);
         let after = store.doctor(false).unwrap();
         assert!(after.is_clean(), "{after:?}");
-        assert_eq!((after.trace_v2_entries, after.trace_v1_entries), (1, 1));
+        assert_eq!(after.trace_entries, 1);
         assert_eq!(store.load("trace", k_bad), None);
-        assert!(store.load("trace", k_v2).is_some());
+        assert!(store.load("trace", k_good).is_some());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -33,6 +33,7 @@ pub mod cache;
 pub mod config;
 pub mod cpu;
 pub mod error;
+pub mod hash;
 pub mod memory;
 pub mod profiler;
 pub mod regwin;
@@ -45,15 +46,16 @@ pub use config::{
 };
 pub use cpu::{simulate, Cpu};
 pub use error::SimError;
+pub use hash::{checksum64, fnv1a64, fnv1a64_extend, FNV1A64_OFFSET};
 pub use memory::Memory;
 pub use profiler::{RunResult, Stats};
 pub use regwin::{RegisterWindows, WindowEvent};
 pub use trace::{
-    capture, fnv1a64, fnv1a64_extend, replay, replay_batch, replay_batch_streamed,
+    capture, replay, replay_batch, replay_batch_streamed,
     trace_segments_walked, trace_walks_performed, FetchSegmentPartial, FetchSpanWalker,
     MemClassDelta, MemSegmentPartial, MemSpanWalker, ReplayBatch, SegmentInfo, SegmentMeta,
     SegmentRead, StreamedTrace, Trace, TraceCodecError, TraceHeader, TraceOp, TraceSegment,
-    FNV1A64_OFFSET, SEGMENT_TARGET_OPS, TRACE_FORMAT_VERSION,
+    SEGMENT_TARGET_OPS, TRACE_FORMAT_VERSION,
 };
 
 /// Default per-run cycle budget used by the higher-level crates.

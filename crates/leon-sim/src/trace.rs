@@ -68,6 +68,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::cache::{CacheStats, TagCache};
 use crate::config::{CacheConfig, LeonConfig};
 use crate::error::SimError;
+use crate::hash::checksum64;
 use crate::profiler::Stats;
 
 /// Process-wide count of trace-stream walks: one tick per pass over a trace's
@@ -510,18 +511,20 @@ impl Trace {
 ///
 /// Bump this whenever the record layout, the captured-configuration encoding
 /// or the semantics of any serialised field change: persisted traces carry
-/// the version they were written with, and [`Trace::from_bytes`] refuses to
-/// decode any *newer* version, so stale artifacts fall back to recapture
-/// instead of silently mis-replaying.  Version 2 adds the segment index, the
-/// stored summary and the capture-folded payload; version-1 traces
-/// ([`Trace::to_bytes_v1`]) still decode, with the segmentation re-derived.
-pub const TRACE_FORMAT_VERSION: u32 = 2;
-
-/// The previous (monolithic, unsegmented) format version, still decodable.
-const TRACE_FORMAT_V1: u32 = 1;
+/// the version they were written with, and every decoder refuses any other
+/// version, so stale artifacts fall back to recapture instead of silently
+/// mis-replaying.  In this version every byte is covered by exactly one
+/// [`checksum64`]: the header checksum (over the header and segment index)
+/// or its segment's checksum.
+pub const TRACE_FORMAT_VERSION: u32 = 3;
 
 /// Magic bytes opening every serialised trace.
 const TRACE_MAGIC: [u8; 4] = *b"LTRC";
+
+/// Serialised byte length of the fixed prefix (everything before the
+/// segment index): magic, version, config, base stats, trap counts, record
+/// count, summary, folded count, segment count.
+const PREFIX_LEN: usize = 252;
 
 /// Error decoding a serialised trace (wrong magic/version, checksum
 /// mismatch, truncation, or a malformed field).
@@ -542,34 +545,12 @@ impl std::fmt::Display for TraceCodecError {
 
 impl std::error::Error for TraceCodecError {}
 
-/// The FNV-1a offset basis: the initial state of [`fnv1a64`].
-pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continue a 64-bit FNV-1a hash from `hash` over `bytes` (for incremental
-/// multi-field hashing; start from [`FNV1A64_OFFSET`]).
-pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// 64-bit FNV-1a over a byte stream — the integrity checksum of the binary
-/// trace format (fast, dependency-free, and plenty for corruption detection;
-/// this is not a cryptographic guarantee).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(FNV1A64_OFFSET, bytes)
-}
-
+/// Writer for the header's fixed-width fields (records use the bulk codec).
 struct ByteWriter(Vec<u8>);
 
 impl ByteWriter {
     fn u8(&mut self, v: u8) {
         self.0.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
@@ -579,6 +560,7 @@ impl ByteWriter {
     }
 }
 
+/// Bounds-checked reader for the header's fixed-width fields.
 struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -598,9 +580,6 @@ impl<'a> ByteReader<'a> {
     fn u8(&mut self) -> Result<u8, TraceCodecError> {
         Ok(self.take(1)?[0])
     }
-    fn u16(&mut self) -> Result<u16, TraceCodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
     fn u32(&mut self) -> Result<u32, TraceCodecError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -614,6 +593,37 @@ impl<'a> ByteReader<'a> {
             other => Err(TraceCodecError::new(format!("invalid bool byte {other}"))),
         }
     }
+}
+
+/// Encode records at 10 bytes apiece (`pc`, `flags`, `aux`, little-endian)
+/// into `out`, which holds exactly `ops.len() * 10` bytes.
+fn encode_ops(out: &mut [u8], ops: &[TraceOp]) {
+    for (c, op) in out.chunks_exact_mut(10).zip(ops) {
+        c[0..4].copy_from_slice(&op.pc.to_le_bytes());
+        c[4..6].copy_from_slice(&op.flags.to_le_bytes());
+        c[6..10].copy_from_slice(&op.aux.to_le_bytes());
+    }
+}
+
+/// Encode folded items at 8 bytes apiece into `out`.
+fn encode_folded(out: &mut [u8], items: &[u64]) {
+    for (c, item) in out.chunks_exact_mut(8).zip(items) {
+        c.copy_from_slice(&item.to_le_bytes());
+    }
+}
+
+/// Append the 10-byte records in `bytes` to `ops`.
+fn decode_ops(bytes: &[u8], ops: &mut Vec<TraceOp>) {
+    ops.extend(bytes.chunks_exact(10).map(|c| TraceOp {
+        pc: u32::from_le_bytes(c[0..4].try_into().unwrap()),
+        flags: u16::from_le_bytes(c[4..6].try_into().unwrap()),
+        aux: u32::from_le_bytes(c[6..10].try_into().unwrap()),
+    }));
+}
+
+/// The 8-byte folded items in `bytes`.
+fn decode_folded(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap()))
 }
 
 fn encode_cache_config(w: &mut ByteWriter, c: &CacheConfig) {
@@ -731,7 +741,7 @@ fn decode_cache_stats(r: &mut ByteReader) -> Result<CacheStats, TraceCodecError>
     })
 }
 
-/// One entry of the serialised v2 segment index: the [`SegmentMeta`]
+/// One entry of the serialised segment index: the [`SegmentMeta`]
 /// checkpoint plus where the segment's payload lives and its integrity
 /// checksum, so a streaming reader can locate, fetch and verify any segment
 /// independently.
@@ -748,25 +758,20 @@ pub struct SegmentInfo {
     /// Run-compression carry split at the boundary ([`FOLD_NONE`] if none).
     pub fold_carry: u32,
     /// Byte offset of the segment's payload, relative to the start of the
-    /// payload region (just after the index).
+    /// payload region (just after the header checksum).
     pub payload_offset: u64,
-    /// FNV-1a checksum over the segment's payload bytes.
+    /// [`checksum64`] over the segment's payload bytes.
     pub checksum: u64,
 }
 
 /// Serialised size of one [`SegmentInfo`] index entry.
 const SEGMENT_INFO_LEN: usize = 48;
 
-/// The header of a serialised trace, decodable without touching the record
-/// payload (see [`Trace::peek_header`]).  For version-2 traces this includes
-/// the stored [`TraceSummary`] and the segment index; for version-1 traces
-/// `summary` is `None` and `segments` is empty (the segmentation is
-/// re-derived on full decode).
+/// The decoded header of a serialised trace — every field covered by the
+/// header checksum — available without touching the record payload (see
+/// [`Trace::peek_header`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceHeader {
-    /// The serialised format version ([`TRACE_FORMAT_VERSION`] or
-    /// [`TRACE_FORMAT_V1`] on a successful peek).
-    pub version: u32,
     /// The configuration the trace was captured on.
     pub captured: LeonConfig,
     /// I-cache statistics of the capturing run.
@@ -779,11 +784,11 @@ pub struct TraceHeader {
     pub base_underflows: u64,
     /// Number of trace records in the (unread) record stream.
     pub records: u64,
-    /// Number of items in the folded stream (0 for v1 headers).
+    /// Number of items in the folded stream.
     pub folded: u64,
-    /// The stored event summary (v2 only; v1 derives it on full decode).
-    pub summary: Option<TraceSummary>,
-    /// The segment index (empty for v1 headers).
+    /// The stored event summary.
+    pub summary: TraceSummary,
+    /// The segment index.
     pub segments: Vec<SegmentInfo>,
 }
 
@@ -825,20 +830,54 @@ fn decode_summary(r: &mut ByteReader) -> Result<TraceSummary, TraceCodecError> {
     })
 }
 
-/// Parse a serialised trace header (fixed fields, and for v2 the stored
-/// summary, stream counts and segment index) from `r`, leaving `r` at the
-/// first payload byte.  Structural payload-length validation is the
-/// caller's job (via [`validate_segment_index`]).
-fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
-    if r.take(4)? != TRACE_MAGIC {
+/// Check the magic and version at the front of a serialised trace of
+/// `total` bytes and return the length of its checksummed header (the fixed
+/// prefix plus the segment index).  `prefix` holds at least the first
+/// `min(total, PREFIX_LEN)` bytes.
+fn header_len(prefix: &[u8], total: u64) -> Result<usize, TraceCodecError> {
+    if prefix.len() < 8 {
+        return Err(TraceCodecError::new("input shorter than the fixed header"));
+    }
+    if prefix[..4] != TRACE_MAGIC {
         return Err(TraceCodecError::new("bad magic (not a serialised trace)"));
     }
-    let version = r.u32()?;
-    if version != TRACE_FORMAT_VERSION && version != TRACE_FORMAT_V1 {
+    let version = u32::from_le_bytes(prefix[4..8].try_into().unwrap());
+    if version != TRACE_FORMAT_VERSION {
         return Err(TraceCodecError::new(format!(
             "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
         )));
     }
+    if prefix.len() < PREFIX_LEN {
+        return Err(TraceCodecError::new("input shorter than the fixed header"));
+    }
+    let count = u32::from_le_bytes(prefix[PREFIX_LEN - 4..PREFIX_LEN].try_into().unwrap());
+    let len = PREFIX_LEN as u64 + count as u64 * SEGMENT_INFO_LEN as u64;
+    if len + 8 > total {
+        return Err(TraceCodecError::new("segment index does not fit the serialised trace"));
+    }
+    Ok(len as usize)
+}
+
+/// Verify and parse the header of a serialised trace of `total` bytes.
+/// `head` holds at least its first `header_len + 8` bytes: the fixed prefix,
+/// the segment index and the header checksum.  Returns the header and the
+/// offset of the payload region, after checking the checksum, every field
+/// and that the index tiles exactly the payload bytes that follow.
+fn read_header(head: &[u8], total: u64) -> Result<(TraceHeader, usize), TraceCodecError> {
+    let len = header_len(head, total)?;
+    let stored = head
+        .get(len..len + 8)
+        .ok_or_else(|| TraceCodecError::new("input shorter than the header checksum"))?;
+    let stored = u64::from_le_bytes(stored.try_into().unwrap());
+    let computed = checksum64(&head[..len]);
+    if stored != computed {
+        return Err(TraceCodecError::new(format!(
+            "header checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+        )));
+    }
+
+    // magic and version were checked by `header_len`
+    let r = &mut ByteReader { bytes: &head[..len], pos: 8 };
     let captured = decode_config(r)?;
     captured
         .validate()
@@ -848,25 +887,10 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
     let base_overflows = r.u64()?;
     let base_underflows = r.u64()?;
     let records = r.u64()?;
-    let mut header = TraceHeader {
-        version,
-        captured,
-        base_icache,
-        base_dcache,
-        base_overflows,
-        base_underflows,
-        records,
-        folded: 0,
-        summary: None,
-        segments: Vec::new(),
-    };
-    if version == TRACE_FORMAT_V1 {
-        return Ok(header);
-    }
-    header.summary = Some(decode_summary(r)?);
-    header.folded = r.u64()?;
+    let summary = decode_summary(r)?;
+    let folded = r.u64()?;
     let count = r.u32()? as usize;
-    let mut segments = Vec::with_capacity(count.min(1 << 16));
+    let mut segments = Vec::with_capacity(count);
     for _ in 0..count {
         segments.push(SegmentInfo {
             ops_start: r.u64()?,
@@ -878,8 +902,28 @@ fn parse_header(r: &mut ByteReader) -> Result<TraceHeader, TraceCodecError> {
             checksum: r.u64()?,
         });
     }
-    header.segments = segments;
-    Ok(header)
+    debug_assert_eq!(r.pos, len);
+    let header = TraceHeader {
+        captured,
+        base_icache,
+        base_dcache,
+        base_overflows,
+        base_underflows,
+        records,
+        folded,
+        summary,
+        segments,
+    };
+
+    let base = len + 8;
+    let payload = validate_segment_index(&header)?;
+    if base as u64 + payload != total {
+        return Err(TraceCodecError::new(format!(
+            "record count {} does not match the remaining payload",
+            header.records
+        )));
+    }
+    Ok((header, base))
 }
 
 /// Byte length of segment `i`'s payload per the index in `header`.
@@ -895,16 +939,8 @@ fn segment_payload_len(header: &TraceHeader, i: usize) -> (u64, u64, u64) {
 /// Structurally validate a parsed header's segment index — offsets start at
 /// 0 and increase monotonically, per-segment payloads tile the payload
 /// region contiguously — and return the total payload byte count the body
-/// must still hold.  This is the `store doctor` half of the v2 integrity
-/// contract (per-segment checksums are verified where the payload is
-/// actually read: [`Trace::from_bytes`] and [`StreamedTrace::load_segment`]).
+/// must still hold.
 fn validate_segment_index(header: &TraceHeader) -> Result<u64, TraceCodecError> {
-    if header.version == TRACE_FORMAT_V1 {
-        return header
-            .records
-            .checked_mul(10)
-            .ok_or_else(|| TraceCodecError::new("record count overflows the payload size"));
-    }
     let segs = &header.segments;
     if header.records == 0 {
         if !segs.is_empty() || header.folded != 0 {
@@ -948,37 +984,55 @@ fn validate_segment_index(header: &TraceHeader) -> Result<u64, TraceCodecError> 
     Ok(expected_offset)
 }
 
+/// Check segment `i`'s payload bytes against the index checksum in `info`.
+fn verify_segment(i: usize, info: &SegmentInfo, payload: &[u8]) -> Result<(), TraceCodecError> {
+    let computed = checksum64(payload);
+    if computed != info.checksum {
+        return Err(TraceCodecError::new(format!(
+            "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
+            info.checksum
+        )));
+    }
+    Ok(())
+}
+
 impl Trace {
-    /// Serialise the trace into the versioned binary format (version 2).
+    /// Serialise the trace into the versioned binary format (version 3).
     ///
-    /// Layout (all integers little-endian): the magic `LTRC`, the
-    /// [`TRACE_FORMAT_VERSION`], the capturing configuration, the capturing
-    /// run's cache statistics and window-trap counts, the record count, the
-    /// stored [`TraceSummary`], the folded-item count, the segment index
-    /// (one [`SegmentInfo`] per segment, with per-segment payload offsets
-    /// and checksums), the per-segment payloads (each segment's records at
-    /// 10 bytes apiece followed by its capture-folded items at 8), and a
-    /// trailing 64-bit FNV-1a checksum over everything before it.  The
-    /// folded stream is stored, so a streaming decoder can walk a segment
-    /// without first re-deriving the guaranteed-hit elision.
+    /// Layout (all integers little-endian):
+    ///
+    /// 1. the header: the magic `LTRC`, the [`TRACE_FORMAT_VERSION`], the
+    ///    capturing configuration, the capturing run's cache statistics and
+    ///    window-trap counts, the record count, the stored
+    ///    [`TraceSummary`], the folded-item count, and the segment index
+    ///    (one [`SegmentInfo`] per segment, with payload offsets and
+    ///    checksums);
+    /// 2. the header checksum: [`checksum64`] over the header;
+    /// 3. the per-segment payloads, each segment's records at 10 bytes
+    ///    apiece followed by its capture-folded items at 8.
+    ///
+    /// Each byte is covered by exactly one checksum: the header's, or its
+    /// segment's (stored in the checksummed index).  The folded stream is
+    /// stored, so a streaming decoder can walk a segment without first
+    /// re-deriving the guaranteed-hit elision.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = ByteWriter(Vec::with_capacity(self.ops.len() * 10 + self.folded.len() * 8));
+        let header_len = PREFIX_LEN + self.segments.len() * SEGMENT_INFO_LEN;
+        let base = header_len + 8;
+        let mut out = vec![0u8; base + self.ops.len() * 10 + self.folded.len() * 8];
         let mut locations: Vec<(u64, u64)> = Vec::with_capacity(self.segments.len());
+        let mut at = base;
         for seg in 0..self.segments.len() {
-            let start = payload.0.len();
-            for op in &self.ops[self.ops_range(seg)] {
-                payload.u32(op.pc);
-                payload.u16(op.flags);
-                payload.u32(op.aux);
-            }
-            for &item in &self.folded[self.folded_range(seg)] {
-                payload.u64(item);
-            }
-            locations.push((start as u64, fnv1a64(&payload.0[start..])));
+            let ops = &self.ops[self.ops_range(seg)];
+            let folded = &self.folded[self.folded_range(seg)];
+            let end = at + ops.len() * 10 + folded.len() * 8;
+            let (recs, items) = out[at..end].split_at_mut(ops.len() * 10);
+            encode_ops(recs, ops);
+            encode_folded(items, folded);
+            locations.push(((at - base) as u64, checksum64(&out[at..end])));
+            at = end;
         }
 
-        let prefix = 252 + self.segments.len() * SEGMENT_INFO_LEN;
-        let mut w = ByteWriter(Vec::with_capacity(prefix + payload.0.len() + 8));
+        let mut w = ByteWriter(Vec::with_capacity(header_len));
         w.0.extend_from_slice(&TRACE_MAGIC);
         w.u32(TRACE_FORMAT_VERSION);
         encode_config(&mut w, &self.captured);
@@ -999,94 +1053,43 @@ impl Trace {
             w.u64(offset);
             w.u64(checksum);
         }
-        w.0.extend_from_slice(&payload.0);
-        let checksum = fnv1a64(&w.0);
-        w.u64(checksum);
-        w.0
+        debug_assert_eq!(w.0.len(), header_len);
+        out[..header_len].copy_from_slice(&w.0);
+        out[header_len..base].copy_from_slice(&checksum64(&w.0).to_le_bytes());
+        out
     }
 
-    /// Serialise the trace into the previous, version-1 monolithic format
-    /// (no segment index, no stored summary or folded stream).  Kept so the
-    /// mixed-store path — v1 entries written by earlier releases must still
-    /// load — stays testable, and as the migration writer's reference.
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let mut w = ByteWriter(Vec::with_capacity(32 + self.ops.len() * 10 + 8));
-        w.0.extend_from_slice(&TRACE_MAGIC);
-        w.u32(TRACE_FORMAT_V1);
-        encode_config(&mut w, &self.captured);
-        encode_cache_stats(&mut w, &self.base_icache);
-        encode_cache_stats(&mut w, &self.base_dcache);
-        w.u64(self.base_overflows);
-        w.u64(self.base_underflows);
-        w.u64(self.ops.len() as u64);
-        for op in &self.ops {
-            w.u32(op.pc);
-            w.u16(op.flags);
-            w.u32(op.aux);
-        }
-        let checksum = fnv1a64(&w.0);
-        w.u64(checksum);
-        w.0
-    }
-
-    /// Decode only the fixed-size header of a serialised trace — O(header)
-    /// regardless of how many records follow, because neither the record
-    /// stream nor the trailing checksum is read.
+    /// Verify and decode only the header of a serialised trace — O(header +
+    /// index) regardless of how many records follow.
     ///
     /// This is the *peek* half of the lazy-materialization contract: a store
     /// layer can check the format version, the capturing configuration and
     /// the record count of a multi-megabyte trace entry without paying the
-    /// full decode (stream walk + checksum + derived-stream rebuild).  It is
-    /// **not** an integrity check — a bit flip in the record stream passes
-    /// `peek_header` and is only caught by [`Trace::from_bytes`] — so
-    /// callers must still decode fully before trusting the records.
+    /// full decode.  Everything it returns is covered by the verified header
+    /// checksum, and the index must tile the input exactly; the record
+    /// payload is not read, so a flip there passes `peek_header` and is
+    /// caught by its segment's checksum ([`Trace::from_bytes`],
+    /// [`Trace::validate_segments`], [`StreamedTrace::load_segment`]).
     pub fn peek_header(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
-        if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
-            return Err(TraceCodecError::new("input shorter than the fixed header"));
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let mut r = ByteReader { bytes: body, pos: 0 };
-        let header = parse_header(&mut r)?;
-        // the declared payload (v1: records × 10; v2: the tiled per-segment
-        // payloads) must exactly match the input
-        let payload = validate_segment_index(&header)?;
-        if payload != (body.len() - r.pos) as u64 {
-            return Err(TraceCodecError::new(format!(
-                "record count {} does not match the remaining payload",
-                header.records
-            )));
-        }
-        Ok(header)
+        read_header(bytes, bytes.len() as u64).map(|(header, _)| header)
     }
 
-    /// Structurally validate a serialised trace without decoding it: the
-    /// header fields, the segment index (offset monotonicity, contiguous
-    /// payload tiling, total length) and — for version 2 — every
-    /// per-segment payload checksum.  Returns the parsed header.
+    /// Verify a serialised trace without decoding it: the header checksum,
+    /// the header fields, the segment index (offset monotonicity, contiguous
+    /// payload tiling, total length) and every per-segment payload checksum.
+    /// Returns the parsed header.
     ///
     /// Cheaper than [`Trace::from_bytes`] (no record decode, no derived
     /// stream rebuild or cross-check), which makes it the right integrity
-    /// pass for `store doctor`: it catches exactly the damage the streaming
-    /// reader would trip over.  For version-1 traces this is header
-    /// validation only (their single checksum is the whole-file one, which
-    /// the store envelope already covers).
+    /// pass for `store doctor`: it checks every byte against the one
+    /// checksum that covers it, exactly as the streaming reader would.
     pub fn validate_segments(bytes: &[u8]) -> Result<TraceHeader, TraceCodecError> {
-        let header = Trace::peek_header(bytes)?;
-        if header.version == TRACE_FORMAT_V1 {
-            return Ok(header);
-        }
-        let total = validate_segment_index(&header)?;
-        let base = bytes.len() - 8 - total as usize;
+        let (header, base) = read_header(bytes, bytes.len() as u64)?;
+        let mut at = base;
         for (i, info) in header.segments.iter().enumerate() {
             let (_, _, len) = segment_payload_len(&header, i);
-            let start = base + info.payload_offset as usize;
-            let computed = fnv1a64(&bytes[start..start + len as usize]);
-            if computed != info.checksum {
-                return Err(TraceCodecError::new(format!(
-                    "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
-                    info.checksum
-                )));
-            }
+            verify_segment(i, info, &bytes[at..at + len as usize])?;
+            at += len as usize;
         }
         Ok(header)
     }
@@ -1094,70 +1097,31 @@ impl Trace {
     /// Decode a trace serialised by [`Trace::to_bytes`].
     ///
     /// Fails — rather than ever producing a wrong trace — on a bad magic, a
-    /// different format version, a checksum mismatch, truncated or trailing
-    /// bytes, or any malformed field.  On success the decoded trace is
-    /// exactly the one serialised (the summary, checkpoints and folded stream
-    /// are re-derived from the record stream and checked against the stored
-    /// ones).
+    /// different format version, a header or segment checksum mismatch,
+    /// truncated or trailing bytes, or any malformed field.  On success the
+    /// decoded trace is exactly the one serialised (the summary, checkpoints
+    /// and folded stream are re-derived from the record stream and checked
+    /// against the stored ones).
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceCodecError> {
-        if bytes.len() < TRACE_MAGIC.len() + 4 + 8 {
-            return Err(TraceCodecError::new("input shorter than the fixed header"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        let actual = fnv1a64(body);
-        if stored != actual {
-            return Err(TraceCodecError::new(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-            )));
-        }
+        let (header, base) = read_header(bytes, bytes.len() as u64)?;
 
-        let mut r = ByteReader { bytes: body, pos: 0 };
-        let header = parse_header(&mut r)?;
-        let payload = validate_segment_index(&header)?;
-        if payload != (body.len() - r.pos) as u64 {
-            return Err(TraceCodecError::new(format!(
-                "record count {} does not match the remaining payload",
-                header.records
-            )));
-        }
-
+        // segment payloads tile the region in index order (validated by
+        // `read_header`), so a sequential read visits each one exactly
         let mut ops = Vec::with_capacity(header.records as usize);
-        let mut stored_folded: Vec<u64> = Vec::with_capacity(header.folded as usize);
-        if header.version == TRACE_FORMAT_V1 {
-            for _ in 0..header.records {
-                ops.push(TraceOp { pc: r.u32()?, flags: r.u16()?, aux: r.u32()? });
-            }
-        } else {
-            // segment payloads tile the region in index order (validated
-            // above), so a sequential read visits each one exactly
-            for (i, info) in header.segments.iter().enumerate() {
-                let (recs, folded, len) = segment_payload_len(&header, i);
-                let seg_bytes = r.take(len as usize)?;
-                let computed = fnv1a64(seg_bytes);
-                if computed != info.checksum {
-                    return Err(TraceCodecError::new(format!(
-                        "segment {i} checksum mismatch: stored {:#018x}, computed \
-                         {computed:#018x}",
-                        info.checksum
-                    )));
-                }
-                let mut sr = ByteReader { bytes: seg_bytes, pos: 0 };
-                for _ in 0..recs {
-                    ops.push(TraceOp { pc: sr.u32()?, flags: sr.u16()?, aux: sr.u32()? });
-                }
-                for _ in 0..folded {
-                    stored_folded.push(sr.u64()?);
-                }
-            }
+        let mut stored_folded: Vec<&[u8]> = Vec::with_capacity(header.segments.len());
+        let mut at = base;
+        for (i, info) in header.segments.iter().enumerate() {
+            let (recs, _, len) = segment_payload_len(&header, i);
+            let seg_bytes = &bytes[at..at + len as usize];
+            verify_segment(i, info, seg_bytes)?;
+            let (records, folded) = seg_bytes.split_at(recs as usize * 10);
+            decode_ops(records, &mut ops);
+            stored_folded.push(folded);
+            at += len as usize;
         }
 
         let summary = Trace::derive_summary(&ops);
-        let boundaries: Vec<usize> = if header.version == TRACE_FORMAT_V1 {
-            Trace::default_boundaries(ops.len())
-        } else {
-            header.segments.iter().map(|s| s.ops_start as usize).collect()
-        };
+        let boundaries: Vec<usize> = header.segments.iter().map(|s| s.ops_start as usize).collect();
         let (segments, folded) =
             derive_segments(&ops, &boundaries, header.captured.iu.reg_windows as u32);
 
@@ -1165,27 +1129,23 @@ impl Trace {
         // match re-derivation from the record stream: a file can checksum
         // correctly and still be internally inconsistent, and the streaming
         // replay path trusts the stored form without re-deriving it
-        if header.version != TRACE_FORMAT_V1 {
-            if header.summary != Some(summary) {
-                return Err(TraceCodecError::new(
-                    "stored summary does not match the record stream",
-                ));
-            }
-            if stored_folded != folded {
-                return Err(TraceCodecError::new(
-                    "stored folded stream does not match the record stream",
-                ));
-            }
-            for (i, (meta, info)) in segments.iter().zip(&header.segments).enumerate() {
-                if meta.folded_start as u64 != info.folded_start
-                    || meta.instructions_before != info.instructions_before
-                    || meta.resident_entry != info.resident_entry
-                    || meta.fold_carry != info.fold_carry
-                {
-                    return Err(TraceCodecError::new(format!(
-                        "segment {i} checkpoint does not match the record stream"
-                    )));
-                }
+        if header.summary != summary {
+            return Err(TraceCodecError::new("stored summary does not match the record stream"));
+        }
+        if !stored_folded.iter().flat_map(|b| decode_folded(b)).eq(folded.iter().copied()) {
+            return Err(TraceCodecError::new(
+                "stored folded stream does not match the record stream",
+            ));
+        }
+        for (i, (meta, info)) in segments.iter().zip(&header.segments).enumerate() {
+            if meta.folded_start as u64 != info.folded_start
+                || meta.instructions_before != info.instructions_before
+                || meta.resident_entry != info.resident_entry
+                || meta.fold_carry != info.fold_carry
+            {
+                return Err(TraceCodecError::new(format!(
+                    "segment {i} checkpoint does not match the record stream"
+                )));
             }
         }
 
@@ -2141,23 +2101,24 @@ pub struct TraceSegment {
     pub folded: Vec<u64>,
 }
 
-/// A version-2 serialised trace opened for streaming: the header and the
-/// segment index are resident, the payload is fetched one segment at a time
-/// through a [`SegmentRead`], so peak memory is O(largest segment) instead
-/// of O(trace).
+/// A serialised trace opened for streaming: the header and the segment
+/// index are resident, the payload is fetched one segment at a time through
+/// a [`SegmentRead`], so peak memory is O(largest segment) instead of
+/// O(trace).
 ///
-/// Opening validates the header fields, the segment index structure and the
-/// total length; each [`StreamedTrace::load_segment`] then verifies its
-/// segment's checksum and re-derives the folded stream from the records
-/// (segments are self-contained: capture-side folds split at segment
-/// boundaries).  The whole-file checksum is deliberately *not* verified —
-/// doing so would read O(trace) bytes, which is exactly what streaming
-/// avoids; corruption in any payload byte is still caught by the per-segment
-/// checksums.
+/// Opening reads O(header + index) bytes and verifies them exactly as
+/// [`Trace::peek_header`] does: the header checksum, every field, the
+/// segment index structure and the total length.  Each
+/// [`StreamedTrace::load_segment`] then verifies its segment's checksum and
+/// re-derives the folded stream from the records (segments are
+/// self-contained: capture-side folds split at segment boundaries).  Every
+/// byte the replay uses is therefore checked against the one checksum that
+/// covers it before it is trusted.
 pub struct StreamedTrace {
     source: Box<dyn SegmentRead>,
     header: TraceHeader,
-    /// Absolute byte offset of the payload region (just past the index).
+    /// Absolute byte offset of the payload region (just past the header
+    /// checksum).
     payload_base: u64,
 }
 
@@ -2170,17 +2131,9 @@ impl std::fmt::Debug for StreamedTrace {
     }
 }
 
-/// Serialised byte length of the fixed v2 prefix (everything before the
-/// segment index): magic, version, config, base stats, trap counts, record
-/// count, summary, folded count, segment count.
-const V2_PREFIX_LEN: usize = 252;
-
 impl StreamedTrace {
-    /// Open a serialised version-2 trace for streaming access.
-    ///
-    /// Reads O(header + index) bytes.  Version-1 traces are rejected —
-    /// their monolithic layout has no segment index to stream from; decode
-    /// them with [`Trace::from_bytes`] (re-serialising writes version 2).
+    /// Open a serialised trace for streaming access, reading and verifying
+    /// its header (see the type docs).
     pub fn open(source: Box<dyn SegmentRead>) -> Result<StreamedTrace, TraceCodecError> {
         let total = source
             .total_len()
@@ -2193,51 +2146,11 @@ impl StreamedTrace {
             Ok(buf)
         };
 
-        if total < (TRACE_MAGIC.len() + 4 + 8) as u64 {
-            return Err(TraceCodecError::new("input shorter than the fixed header"));
-        }
-        let probe = read(0, 8)?;
-        if probe[..4] != TRACE_MAGIC {
-            return Err(TraceCodecError::new("bad magic (not a serialised trace)"));
-        }
-        let version = u32::from_le_bytes(probe[4..8].try_into().unwrap());
-        if version == TRACE_FORMAT_V1 {
-            return Err(TraceCodecError::new(
-                "version 1 traces have no segment index and cannot be streamed; decode with \
-                 Trace::from_bytes (re-serialising writes version 2)",
-            ));
-        }
-        if version != TRACE_FORMAT_VERSION {
-            return Err(TraceCodecError::new(format!(
-                "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
-            )));
-        }
-        if total < (V2_PREFIX_LEN + 8) as u64 {
-            return Err(TraceCodecError::new("input shorter than the version-2 prefix"));
-        }
-        let mut head = read(0, V2_PREFIX_LEN)?;
-        let count =
-            u32::from_le_bytes(head[V2_PREFIX_LEN - 4..].try_into().unwrap()) as u64;
-        let index_len = count
-            .checked_mul(SEGMENT_INFO_LEN as u64)
-            .filter(|&n| V2_PREFIX_LEN as u64 + n + 8 <= total)
-            .ok_or_else(|| {
-                TraceCodecError::new("segment index does not fit the serialised trace")
-            })?;
-        head.extend_from_slice(&read(V2_PREFIX_LEN as u64, index_len as usize)?);
-
-        let mut r = ByteReader { bytes: &head, pos: 0 };
-        let header = parse_header(&mut r)?;
-        debug_assert_eq!(r.pos, head.len());
-        let payload = validate_segment_index(&header)?;
-        let payload_base = head.len() as u64;
-        if payload_base + payload + 8 != total {
-            return Err(TraceCodecError::new(format!(
-                "record count {} does not match the remaining payload",
-                header.records
-            )));
-        }
-        Ok(StreamedTrace { source, header, payload_base })
+        let mut head = read(0, total.min(PREFIX_LEN as u64) as usize)?;
+        let len = header_len(&head, total)?;
+        head.extend_from_slice(&read(PREFIX_LEN as u64, len + 8 - PREFIX_LEN)?);
+        let (header, payload_base) = read_header(&head, total)?;
+        Ok(StreamedTrace { source, header, payload_base: payload_base as u64 })
     }
 
     /// The resident header (capturing config, base stats, summary, index).
@@ -2259,27 +2172,16 @@ impl StreamedTrace {
     pub fn load_segment(&self, i: usize) -> Result<TraceSegment, TraceCodecError> {
         assert!(i < self.header.segments.len(), "segment index out of range");
         let info = &self.header.segments[i];
-        let (recs, folded_count, len) = segment_payload_len(&self.header, i);
+        let (recs, _, len) = segment_payload_len(&self.header, i);
         let mut bytes = vec![0u8; len as usize];
         self.source
             .read_at(self.payload_base + info.payload_offset, &mut bytes)
             .map_err(|e| TraceCodecError::new(format!("could not read segment {i}: {e}")))?;
-        let computed = fnv1a64(&bytes);
-        if computed != info.checksum {
-            return Err(TraceCodecError::new(format!(
-                "segment {i} checksum mismatch: stored {:#018x}, computed {computed:#018x}",
-                info.checksum
-            )));
-        }
-        let mut r = ByteReader { bytes: &bytes, pos: 0 };
+        verify_segment(i, info, &bytes)?;
+        let (records, items) = bytes.split_at(recs as usize * 10);
         let mut ops = Vec::with_capacity(recs as usize);
-        for _ in 0..recs {
-            ops.push(TraceOp { pc: r.u32()?, flags: r.u16()?, aux: r.u32()? });
-        }
-        let mut folded = Vec::with_capacity(folded_count as usize);
-        for _ in 0..folded_count {
-            folded.push(r.u64()?);
-        }
+        decode_ops(records, &mut ops);
+        let folded: Vec<u64> = decode_folded(items).collect();
         let (_, derived) =
             derive_segments(&ops, &[0], self.header.captured.iu.reg_windows as u32);
         if derived != folded {
@@ -2310,7 +2212,7 @@ pub fn replay_batch_streamed(
     let header = streamed.header();
     let captured = CapturedRun {
         config: &header.captured,
-        summary: header.summary.as_ref().expect("a streamed trace is v2 and stores its summary"),
+        summary: &header.summary,
         icache: header.base_icache,
         dcache: header.base_dcache,
         overflows: header.base_overflows,
@@ -2682,15 +2584,14 @@ mod tests {
         let bytes = trace.to_bytes();
 
         let header = Trace::peek_header(&bytes).unwrap();
-        assert_eq!(header.version, TRACE_FORMAT_VERSION);
         assert_eq!(header.captured, config);
         assert_eq!(header.base_icache, run.stats.icache);
         assert_eq!(header.base_dcache, run.stats.dcache);
         assert_eq!(header.base_overflows, run.stats.window_overflows);
         assert_eq!(header.records, trace.ops.len() as u64);
 
-        // a record-stream bit flip passes the peek (no integrity claim) but
-        // still fails the full decode
+        // a record-stream bit flip passes the peek (the payload is not read)
+        // but fails the full decode on its segment's checksum
         let mut flipped = bytes.clone();
         let pos = flipped.len() - 20;
         flipped[pos] ^= 0x40;
@@ -2698,6 +2599,10 @@ mod tests {
         assert!(Trace::from_bytes(&flipped).is_err());
 
         // header damage is caught by the peek itself
+        let mut stats_flip = bytes.clone();
+        stats_flip[PREFIX_LEN - 60] ^= 0x01; // inside the stored summary
+        let err = Trace::peek_header(&stats_flip).unwrap_err();
+        assert!(err.to_string().contains("header checksum"), "got: {err}");
         assert!(Trace::peek_header(&bytes[..10]).is_err());
         let mut versioned = bytes.clone();
         versioned[4..8].copy_from_slice(&(TRACE_FORMAT_VERSION + 7).to_le_bytes());
@@ -2708,40 +2613,100 @@ mod tests {
         assert!(Trace::peek_header(&truncated).is_err(), "record count must mismatch");
     }
 
+    /// Recompute the header checksum of a serialised trace in place (for
+    /// damage cases that must be caught by something other than it).
+    fn rechecksum_header(bytes: &mut [u8]) {
+        let count = u32::from_le_bytes(bytes[PREFIX_LEN - 4..PREFIX_LEN].try_into().unwrap());
+        let len = PREFIX_LEN + count as usize * SEGMENT_INFO_LEN;
+        let checksum = checksum64(&bytes[..len]);
+        bytes[len..len + 8].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// Whether the streamed path refuses `bytes`: `open` fails, or some
+    /// segment fails to load.
+    fn streamed_rejects(bytes: Vec<u8>) -> bool {
+        match StreamedTrace::open(Box::new(bytes)) {
+            Err(_) => true,
+            Ok(streamed) => (0..streamed.segment_count()).any(|i| streamed.load_segment(i).is_err()),
+        }
+    }
+
+    /// The demo trace cut into several segments, serialised.
+    fn segmented_demo_bytes() -> Vec<u8> {
+        let (_, mut trace) = capture(&LeonConfig::base(), &demo_program(), 1_000_000).unwrap();
+        let step = (trace.ops.len() / 4).max(1);
+        let boundaries: Vec<usize> = (0..trace.ops.len()).step_by(step).collect();
+        trace.resegment_at(&boundaries);
+        assert!(trace.segment_count() >= 3);
+        trace.to_bytes()
+    }
+
     #[test]
     fn binary_codec_rejects_damage() {
-        let (_, trace) = capture(&LeonConfig::base(), &demo_program(), 1_000_000).unwrap();
-        let good = trace.to_bytes();
+        let good = segmented_demo_bytes();
         assert!(Trace::from_bytes(&good).is_ok());
+        assert!(!streamed_rejects(good.clone()));
 
         // truncation (both mid-record and mid-header)
         assert!(Trace::from_bytes(&good[..good.len() - 1]).is_err());
         assert!(Trace::from_bytes(&good[..10]).is_err());
         assert!(Trace::from_bytes(&[]).is_err());
+        assert!(streamed_rejects(good[..good.len() - 1].to_vec()));
 
-        // a single flipped bit anywhere must fail the checksum
-        for pos in [0usize, 4, good.len() / 2, good.len() - 9] {
+        // a flipped bit in any byte — header, index, header checksum or
+        // payload — is a typed error on both decode paths
+        for pos in 0..good.len() {
             let mut bad = good.clone();
-            bad[pos] ^= 0x40;
+            bad[pos] ^= 1 << (pos % 8);
             assert!(Trace::from_bytes(&bad).is_err(), "bit flip at {pos} must be detected");
+            assert!(streamed_rejects(bad), "streamed: bit flip at {pos} must be detected");
         }
 
         // a different format version must be rejected even with a valid
-        // checksum over the altered body
+        // header checksum over the altered header
         let mut versioned = good.clone();
         versioned[4..8].copy_from_slice(&(TRACE_FORMAT_VERSION + 1).to_le_bytes());
-        let body_len = versioned.len() - 8;
-        let checksum = fnv1a64(&versioned[..body_len]);
-        versioned[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        rechecksum_header(&mut versioned);
         let err = Trace::from_bytes(&versioned).unwrap_err();
         assert!(err.to_string().contains("version"), "got: {err}");
 
-        // trailing garbage is rejected (record count no longer matches)
-        let mut padded = good[..good.len() - 8].to_vec();
+        // trailing garbage is rejected (record count no longer matches),
+        // also when the header checksum is recomputed
+        let mut padded = good.clone();
         padded.extend_from_slice(&[0u8; 10]);
-        let checksum = fnv1a64(&padded);
-        padded.extend_from_slice(&checksum.to_le_bytes());
-        assert!(Trace::from_bytes(&padded).is_err());
+        rechecksum_header(&mut padded);
+        let err = Trace::from_bytes(&padded).unwrap_err();
+        assert!(err.to_string().contains("remaining payload"), "got: {err}");
+        assert!(streamed_rejects(padded));
+
+        // a header that checksums correctly but lies about the stream is
+        // caught by the re-derivation cross-check
+        let mut lying = good.clone();
+        lying[PREFIX_LEN - 60] ^= 0x01; // inside the stored summary
+        rechecksum_header(&mut lying);
+        let err = Trace::from_bytes(&lying).unwrap_err();
+        assert!(err.to_string().contains("summary"), "got: {err}");
+    }
+
+    #[test]
+    fn streamed_open_rejects_every_header_bit_flip() {
+        // the header, the segment index and the header checksum itself: a
+        // flip in any of them must fail `open`, never yield a header that
+        // replays to a different answer
+        let good = segmented_demo_bytes();
+        let header_end = header_len(&good[..PREFIX_LEN], good.len() as u64).unwrap() + 8;
+        assert!(StreamedTrace::open(Box::new(good.clone())).is_ok());
+        for pos in 0..header_end {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[pos] ^= 1 << bit;
+                assert!(
+                    StreamedTrace::open(Box::new(bad.clone())).is_err(),
+                    "open accepted a flip of bit {bit} in header byte {pos}"
+                );
+                assert!(Trace::peek_header(&bad).is_err(), "peek: bit {bit} of byte {pos}");
+            }
+        }
     }
 
     #[test]
@@ -2834,36 +2799,11 @@ mod tests {
             // payload corruption passes open() (header-only) but is caught
             // by the damaged segment's checksum on load
             let mut damaged = bytes.clone();
-            let target = V2_PREFIX_LEN + trace.segment_count() * SEGMENT_INFO_LEN;
+            let target = PREFIX_LEN + trace.segment_count() * SEGMENT_INFO_LEN + 8;
             damaged[target] ^= 0x40; // first byte of segment 0's payload
             let opened = StreamedTrace::open(Box::new(damaged)).unwrap();
             assert!(opened.load_segment(0).unwrap_err().to_string().contains("checksum"));
         }
-    }
-
-    #[test]
-    fn v1_traces_still_decode_and_replay() {
-        let _walks = walk_guard();
-        let base = LeonConfig::base();
-        let (_, trace) = capture(&base, &recursing_program(), 1_000_000).unwrap();
-        let bytes = trace.to_bytes_v1();
-
-        let header = Trace::peek_header(&bytes).unwrap();
-        assert_eq!(header.version, 1);
-        assert!(header.segments.is_empty() && header.summary.is_none());
-
-        // full decode re-derives the default segmentation and folded stream
-        let decoded = Trace::from_bytes(&bytes).unwrap();
-        assert_eq!(decoded, trace);
-        let configs = mixed_batch(&base);
-        assert_eq!(
-            replay_batch(&decoded, &configs, 1_000_000),
-            replay_batch(&trace, &configs, 1_000_000)
-        );
-
-        // the streaming opener refuses v1 with a pointed error
-        let err = StreamedTrace::open(Box::new(bytes)).unwrap_err();
-        assert!(err.to_string().contains("streamed"), "unexpected error: {err}");
     }
 
     #[test]

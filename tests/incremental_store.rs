@@ -236,6 +236,53 @@ fn corrupted_entries_are_detected_and_recomputed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn streamed_sweeps_never_trust_a_damaged_trace_header() {
+    // A sweep recomputed from a stored trace streams its segments and never
+    // reads the whole entry, so the store envelope's checksum is not on
+    // that path: the trace's own header checksum must catch a flip in the
+    // stored summary, or the sweep would be silently retimed wrong.
+    let _g = lock();
+    let suite = benchmark_suite(Scale::Tiny);
+    let dir = scratch_dir("header-flip");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let cold = engine(2, Some(store.clone())).session(&suite).unwrap();
+    let expected: Vec<String> = (0..suite.len())
+        .map(|i| serde_json::to_string(cold.sweep(i).unwrap()).unwrap())
+        .collect();
+    drop(cold);
+
+    // flip the low bit of the stored instruction count in every trace entry
+    // (past the 40-byte envelope and the 16-byte base-cost prefix), and
+    // drop every stored sweep so each one is recomputed from its trace
+    const TRACE_AT: usize = 40 + 16;
+    for file in store.entries(Some("trace")) {
+        let mut bytes = std::fs::read(&file).unwrap();
+        let header = liquid_autoreconf::sim::Trace::peek_header(&bytes[TRACE_AT..]).unwrap();
+        let needle = header.summary.instructions.to_le_bytes();
+        let at = TRACE_AT
+            + bytes[TRACE_AT..]
+                .windows(8)
+                .position(|w| w == needle)
+                .expect("the header stores the instruction count");
+        bytes[at] ^= 0x01;
+        std::fs::write(&file, &bytes).unwrap();
+    }
+    for file in store.entries(Some("sweep")) {
+        std::fs::remove_file(file).unwrap();
+    }
+
+    let warm = engine(2, Some(ArtifactStore::open(&dir).unwrap())).session(&suite).unwrap();
+    for (i, want) in expected.iter().enumerate() {
+        let got = serde_json::to_string(warm.sweep(i).unwrap()).unwrap();
+        assert_eq!(&got, want, "workload {i}: a damaged trace header changed the sweep");
+    }
+    // every damaged trace was refused and recaptured, none replayed
+    assert_eq!(warm.counters().trace_captures, suite.len());
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `Arith` under a different registered name: same guest program, different
 /// content fingerprint — the cheapest possible "this workload changed"
 /// stand-in for the invalidation-precision test.

@@ -1,4 +1,4 @@
-//! Segmentation-equivalence contract of the v2 trace format: *where* a
+//! Segmentation-equivalence contract of the segmented trace format: *where* a
 //! trace is cut into segments is a pure representation choice.  For any
 //! segmentation — including pathological ones: one record per segment, a
 //! boundary in the middle of a window-trap burst, a boundary splitting a
@@ -10,8 +10,9 @@
 //!   `threads = 1` and `threads = 4`,
 //! * the serial driver over streamed segments (`replay_batch_streamed`),
 //!   which materialises one segment at a time from the serialised bytes,
-//! * and a legacy v1 round-trip (`to_bytes_v1` → `from_bytes`), which must
-//!   still decode and replay identically.
+//! * and a codec round-trip of the capture's default segmentation
+//!   (`to_bytes` → `from_bytes`), which must decode to the same trace and
+//!   replay identically.
 //!
 //! All four workloads of the paper's suite are covered.
 
@@ -157,7 +158,7 @@ fn pathological_segmentations_are_bit_identical() {
         // one record per segment: every window-trap burst and every
         // compressed run that spans records is split somewhere
         let every_record: Vec<usize> = (0..n).collect();
-        // a single segment (the monolithic layout, expressed as v2)
+        // a single segment (the monolithic layout)
         let single = vec![0usize];
         // one interior cut
         let halves = vec![0usize, n / 2];
@@ -176,14 +177,14 @@ fn pathological_segmentations_are_bit_identical() {
 }
 
 #[test]
-fn v1_round_trip_replays_identically() {
+fn default_segmentation_round_trip_replays_identically() {
     let configs = mixed_batch();
     for (name, program, trace) in captured_suite() {
         let expected = simulated(program, &configs);
-        let v1 = Trace::from_bytes(&trace.to_bytes_v1())
-            .unwrap_or_else(|e| panic!("{name}: v1 decode failed: {e}"));
-        let replayed = sim::replay_batch(&v1, &configs, MAX_CYCLES);
-        assert_eq!(replayed, expected, "{name}: v1 round trip diverged");
+        let decoded = Trace::from_bytes(&trace.to_bytes())
+            .unwrap_or_else(|e| panic!("{name}: decode failed: {e}"));
+        assert_eq!(&decoded, trace, "{name}: codec round trip");
+        assert_all_engines_match(name, "default", &decoded, &configs, &expected);
     }
 }
 
