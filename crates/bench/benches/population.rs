@@ -15,7 +15,12 @@
 //!   counter-asserted before the number is reported;
 //! * `naive_per_mix_loop/<N>` — the do-nothing-clever baseline: a warm
 //!   per-mix `co_optimize` loop over all N tenants (no dedup, no frontier),
-//!   what a fleet operator would script without this feature.
+//!   what a fleet operator would script without this feature;
+//! * `warm_novel_mixes/<k>` — a fresh session on the warm store solves k
+//!   mixes no run has stored: every trace and cost table hits, every `co`
+//!   entry misses, so each mix validates over the stored traces (one mix
+//!   streams them; several decode each trace once up front).  Median of
+//!   fresh sessions, each over mixes never seen before.
 //!
 //! A frontier-size sweep over growing N records how many distinct
 //! configurations actually serve a fleet within tolerance.
@@ -65,6 +70,21 @@ fn solve(
     let secs = start.elapsed().as_secs_f64();
     let json = serde_json::to_string(&outcome).expect("serialise outcome");
     (json, outcome.unique.len(), outcome.frontier.len(), secs)
+}
+
+/// `k` mixes no other call produces (`first` numbers them): every weight
+/// lies in (1, 1.1) and the weights of a mix are distinct, so no mix
+/// canonicalises to one of [`random_mixes`]' small-integer mixes or to
+/// another call's.
+fn novel_mixes(first: usize, k: usize, workloads: usize) -> Vec<MixProfile> {
+    (first..first + k)
+        .map(|c| MixProfile {
+            name: format!("novel-{c}"),
+            weights: (0..workloads)
+                .map(|w| 1.0 + (c * workloads + w + 1) as f64 / 99_991.0)
+                .collect(),
+        })
+        .collect()
 }
 
 struct Row {
@@ -136,6 +156,33 @@ fn main() {
     };
     eprintln!("  naive_per_mix_loop/{n}: {naive_secs:.3}s (warm, no dedup, no frontier)");
     rows.push(Row { name: format!("naive_per_mix_loop/{n}"), secs: naive_secs, unique, frontier });
+
+    // -- warm, novel mixes: co misses over stored traces and tables -------
+    let reps = if smoke { 1 } else { 5 };
+    let mut first = 0;
+    for k in [1, 2, 4, 8, 16] {
+        let mut times = Vec::with_capacity(reps);
+        let mut last = (0, 0);
+        for _ in 0..reps {
+            let novel = novel_mixes(first, k, suite.len());
+            first += k;
+            let guests_before = guest_instructions_executed();
+            let (_, unique, frontier, secs) = solve(scale, &dir, &suite, &novel, TOLERANCE_PCT);
+            assert_eq!(unique, k, "every novel mix must be distinct");
+            assert_eq!(
+                guest_instructions_executed(),
+                guests_before,
+                "a warm store must serve every trace without guest execution"
+            );
+            times.push(secs);
+            last = (unique, frontier);
+        }
+        times.sort_by(f64::total_cmp);
+        let secs = times[times.len() / 2];
+        eprintln!("  warm_novel_mixes/{k}: {secs:.3}s (median of {reps} fresh sessions)");
+        let (unique, frontier) = last;
+        rows.push(Row { name: format!("warm_novel_mixes/{k}"), secs, unique, frontier });
+    }
 
     // -- frontier size vs population size ----------------------------------
     let mut sweep = Vec::new();

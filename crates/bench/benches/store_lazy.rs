@@ -2,7 +2,8 @@
 //!
 //! One group, emitting `BENCH_store_lazy.json`, comparing the same
 //! multi-workload campaign (paper's 52-variable space, non-uniform mix) in
-//! four modes at `Scale::Small` *and* `Scale::Medium`:
+//! four modes at `Scale::Small` *and* `Scale::Medium`, plus one warm
+//! re-optimization:
 //!
 //! * `no_store/<scale>` — every artifact recomputed (the PR-2 baseline);
 //! * `cold/<scale>` — store attached but empty each iteration (measures
@@ -12,7 +13,12 @@
 //!   ([`autoreconf::CampaignSession::materialize_all`]);
 //! * `warm_lazy/<scale>` — the lazy path: the co-optimization entry hits,
 //!   the result is assembled from the small JSON artifacts, and **zero
-//!   trace payload bytes** are read (counter-asserted below).
+//!   trace payload bytes** are read (counter-asserted below);
+//! * `warm_novel_mix/<scale>` — a fresh session on the warm store
+//!   co-optimizes a mix it has never seen: the cost tables are stored, and
+//!   validation streams each stored trace one segment at a time instead of
+//!   decoding it whole (zero guest instructions, no trace decoded whole —
+//!   both asserted below).
 //!
 //! The warm-lazy ≪ warm-eager gap is the trace read+checksum+decode cost —
 //! at `Medium` tens of megabytes per run — which is exactly what lazy
@@ -31,6 +37,8 @@ use workloads::{
 };
 
 const MIX: [f64; 4] = [0.4, 0.3, 0.2, 0.1];
+/// A mix no run stores a co-optimization outcome for.
+const NOVEL_MIX: [f64; 4] = [0.15, 0.35, 0.2, 0.3];
 
 fn engine(store: Option<ArtifactStore>) -> Campaign {
     let mut c = Campaign::new().with_weights(Weights::runtime_optimized()).with_measurement(
@@ -72,6 +80,21 @@ fn prepare(scale: Scale) -> (Vec<Box<dyn Workload + Send + Sync>>, PathBuf) {
         serde_json::to_string(&warm).unwrap(),
         "cold and warm campaign results must be byte-identical"
     );
+    let session = engine(Some(ArtifactStore::open(&dir).unwrap())).session(&suite).unwrap();
+    let novel = session.co_optimize(&NOVEL_MIX).unwrap();
+    let c = session.counters();
+    assert_eq!(
+        (c.trace_store_hits, c.trace_captures),
+        (0, 0),
+        "a warm novel mix must stream its traces, never decode or capture them"
+    );
+    assert_eq!(guest_instructions_executed(), guests, "warm novel mix must execute no guest code");
+    let storeless = engine(None).session(&suite).unwrap().co_optimize(&NOVEL_MIX).unwrap();
+    assert_eq!(
+        serde_json::to_string(&novel).unwrap(),
+        serde_json::to_string(&storeless).unwrap(),
+        "the warm novel mix must match a store-less co-optimization"
+    );
     eprintln!(
         "store_lazy: byte-identity + zero-trace-read contracts verified at scale {:?}",
         scale
@@ -112,6 +135,19 @@ fn register(
         b.iter(|| {
             let store = ArtifactStore::open(dir).unwrap();
             engine(Some(store)).run(suite, &MIX).unwrap().co.selected.len()
+        })
+    });
+
+    group.bench_function(format!("warm_novel_mix/{}", scale.name()), |b| {
+        b.iter(|| {
+            // the outcome is persisted on the first iteration: purge it so
+            // every iteration solves and validates the mix afresh
+            for file in ArtifactStore::open(dir).unwrap().entries(Some("co")) {
+                std::fs::remove_file(file).unwrap();
+            }
+            let store = ArtifactStore::open(dir).unwrap();
+            let session = engine(Some(store)).session(suite).unwrap();
+            session.co_optimize(&NOVEL_MIX).unwrap().selected.len()
         })
     });
 }

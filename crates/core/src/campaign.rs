@@ -27,7 +27,7 @@ use std::sync::Mutex;
 
 use binlp::SolveStats;
 use fpga_model::SynthesisModel;
-use leon_sim::{LeonConfig, SimError, Trace};
+use leon_sim::{LeonConfig, SimError, Stats, Trace};
 use serde::{Deserialize, Serialize};
 use workloads::Workload;
 
@@ -382,6 +382,19 @@ pub fn canonical_shares(mix: &[f64]) -> Result<Vec<f64>, OptimizeError> {
     Ok(mix.iter().map(|w| w / total + 0.0).collect())
 }
 
+/// A co-optimization's validation of one workload: the (base, recommended)
+/// cycles from one replay of the batch `[captured, recommended]`, where
+/// `captured` is the configuration the trace was captured on.  Replaying
+/// the captured configuration is closed-form and walks nothing, and it
+/// reproduces the capture run's statistics exactly, so the base cycles come
+/// from the trace's verified header — never from a side channel stored
+/// next to it.
+fn validation_cycles(results: Vec<Result<Stats, SimError>>) -> Result<(u64, u64), SimError> {
+    let [base, recommended]: [Result<Stats, SimError>; 2] =
+        results.try_into().expect("a [captured, recommended] batch yields two results");
+    Ok((base?.cycles, recommended?.cycles))
+}
+
 /// A workload's share of the co-optimization objective.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadShare {
@@ -708,21 +721,29 @@ impl Campaign {
         mix: &[f64],
     ) -> Result<CoOutcome, OptimizeError> {
         assert_eq!(tables.len(), traces.len(), "tables and trace set must align");
-        let entries: Vec<&TracedWorkload> = traces.entries.iter().collect();
         let tables: Vec<&CostTable> = tables.iter().collect();
-        self.co_optimize_on(&entries, &tables, mix)
+        let max_cycles = self.measurement.max_cycles;
+        self.co_optimize_on(&traces.names(), &tables, mix, |i, recommended| {
+            let batch = [traces.base, *recommended];
+            let results = leon_sim::replay_batch(&traces.entries[i].trace, &batch, max_cycles);
+            Ok(validation_cycles(results)?)
+        })
     }
 
-    /// [`Campaign::co_optimize`] over borrowed per-workload artifacts — the
-    /// form [`CampaignSession`] calls with its lazily materialised handles,
-    /// so no trace or table is ever cloned just to be solved over.
+    /// [`Campaign::co_optimize`] over borrowed cost tables plus a validation
+    /// source — the form [`CampaignSession`] calls with its lazily
+    /// materialised handles, so no table is ever cloned just to be solved
+    /// over.  The solve needs only the tables; `validate(i, recommended)`
+    /// returns workload `i`'s (base, recommended) cycles from wherever the
+    /// caller holds its trace (see [`validation_cycles`]).
     fn co_optimize_on(
         &self,
-        entries: &[&TracedWorkload],
+        names: &[String],
         tables: &[&CostTable],
         mix: &[f64],
+        validate: impl Fn(usize, &LeonConfig) -> Result<(u64, u64), OptimizeError> + Sync,
     ) -> Result<CoOutcome, OptimizeError> {
-        assert_eq!(tables.len(), entries.len(), "tables and traces must align");
+        assert_eq!(tables.len(), names.len(), "tables and workloads must align");
         if mix.len() != tables.len() {
             return Err(OptimizeError::InvalidMix(format!(
                 "mix has {} weights but the suite has {}",
@@ -747,23 +768,22 @@ impl Campaign {
         // validate on every workload by replaying its trace under the shared
         // candidate — bit-identical to fully simulating the recommendation,
         // since every Figure 1 variable is trace-invariant
-        let runs = run_indexed(entries.len(), self.measurement.threads, |i| {
-            leon_sim::replay(&entries[i].trace, &recommended, self.measurement.max_cycles)
-                .map(|stats| stats.cycles)
+        let runs = run_indexed(names.len(), self.measurement.threads, |i| {
+            validate(i, &recommended)
         });
         let cycles = collect_indexed(runs)?;
 
-        let mut per_workload = Vec::with_capacity(entries.len());
+        let mut per_workload = Vec::with_capacity(names.len());
         let mut weighted_relative = 0.0;
-        for (i, entry) in entries.iter().enumerate() {
-            weighted_relative += shares[i] * cycles[i] as f64 / entry.base_cycles as f64;
+        for (i, (name, &(base_cycles, cycles))) in names.iter().zip(&cycles).enumerate() {
+            weighted_relative += shares[i] * cycles as f64 / base_cycles as f64;
             per_workload.push(CoWorkloadRun {
-                name: entry.name.clone(),
+                name: name.clone(),
                 weight: shares[i],
-                base_cycles: entry.base_cycles,
-                cycles: cycles[i],
-                runtime_gain_pct: (entry.base_cycles as f64 - cycles[i] as f64) * 100.0
-                    / entry.base_cycles as f64,
+                base_cycles,
+                cycles,
+                runtime_gain_pct: (base_cycles as f64 - cycles as f64) * 100.0
+                    / base_cycles as f64,
             });
         }
 
@@ -773,10 +793,10 @@ impl Campaign {
             .collect();
 
         Ok(CoOutcome {
-            mix: entries
+            mix: names
                 .iter()
                 .zip(&shares)
-                .map(|(e, &weight)| WorkloadShare { name: e.name.clone(), weight })
+                .map(|(name, &weight)| WorkloadShare { name: name.clone(), weight })
                 .collect(),
             weights: self.weights,
             selected,
@@ -1038,6 +1058,13 @@ impl Campaign {
         )
     }
 
+    /// Whether the attached store holds an entry for `(kind, key)` — an
+    /// envelope-only [`ArtifactStore::contains`] peek that reads no payload
+    /// and counts no store stats.  Always false without a store.
+    fn stored(&self, kind: &str, key: Fingerprint) -> bool {
+        self.store.as_ref().is_some_and(|s| s.contains(kind, key))
+    }
+
     /// Load a JSON artifact from the attached store, if any.
     pub(crate) fn try_load_json<T: serde::Deserialize>(&self, kind: &str, key: Fingerprint) -> Option<T> {
         self.store.as_ref()?.load_json(kind, key)
@@ -1099,26 +1126,19 @@ impl Campaign {
         )
     }
 
-    /// Recompute the workload's Figure 2 exhaustive sweep by replay and
-    /// persist it.
-    fn compute_and_persist_sweep(
+    /// Recompute the workload's Figure 2 exhaustive sweep and persist it —
+    /// the one assembly-and-persist path of the sweep artifact.  `retime`
+    /// times the feasible geometries from whatever trace source the caller
+    /// holds (see [`crate::dcache_study::sweep_rows`]).
+    fn compute_and_persist_sweep<E: From<SimError>>(
         &self,
         workload_fp: u64,
-        entry: &TracedWorkload,
-    ) -> Result<Vec<DcacheRow>, SimError> {
-        let sweep = dcache_exhaustive_traced(
-            &entry.trace,
-            &self.base,
-            &self.model,
-            self.measurement.max_cycles,
-            self.measurement.threads,
-        )?;
-        self.persist_json(
-            "sweep",
-            self.sweep_key(workload_fp),
-            &format!("sweep for {}", entry.name),
-            &sweep,
-        );
+        name: &str,
+        retime: impl FnOnce(&[LeonConfig]) -> Result<Vec<Result<Stats, SimError>>, E>,
+    ) -> Result<Vec<DcacheRow>, E> {
+        let sweep = crate::dcache_study::sweep_rows(&self.base, &self.model, retime)?;
+        let what = format!("sweep for {name}");
+        self.persist_json("sweep", self.sweep_key(workload_fp), &what, &sweep);
         Ok(sweep)
     }
 
@@ -1133,7 +1153,14 @@ impl Campaign {
             "sweep",
             self.sweep_key(workload_fp),
             || self.try_load_json::<Vec<DcacheRow>>("sweep", self.sweep_key(workload_fp)),
-            || self.compute_and_persist_sweep(workload_fp, entry),
+            || {
+                self.compute_and_persist_sweep(workload_fp, &entry.name, |feasible| {
+                    let max_cycles = self.measurement.max_cycles;
+                    let threads = self.measurement.threads;
+                    let results = replay_batch_indexed(&entry.trace, feasible, max_cycles, threads);
+                    Ok::<_, SimError>(results)
+                })
+            },
         )
     }
 
@@ -1324,7 +1351,10 @@ impl Drop for PinGuard {
 ///   sweeps and per-application optima the [`CampaignResult`] carries —
 ///   all small JSON artifacts — but still no traces when they hit;
 /// * only a store **miss** walks the dependency chain down to the trace
-///   (and only that workload's trace), recomputes, and persists.
+///   (and only that workload's trace), recomputes, and persists — and a
+///   miss that only replays (a sweep, a co-optimization's validation)
+///   streams the stored trace one segment at a time instead of decoding it
+///   whole (see `CampaignSession::replay_from_best_source`).
 ///
 /// [`CampaignSession::update_workload`] swaps one workload of the mix and
 /// re-derives *only* that workload's artifacts (a content-identical
@@ -1471,12 +1501,11 @@ impl<'a> CampaignSession<'a> {
 
     /// The workload's Figure 2 sweep; a store hit never touches the trace.
     ///
-    /// On a sweep miss with the trace *not yet resident*, the recompute
-    /// first tries the streaming path: the stored trace entry is replayed
-    /// one segment at a time ([`crate::dcache_study::dcache_exhaustive_traced_streamed`])
-    /// without ever materialising the whole op vector — the bounded-memory
-    /// half of the segmented-trace contract.  A damaged or stale-version
-    /// entry falls back to the full decode path, which detects and heals it.
+    /// A miss retimes the sweep from the best trace source available: with
+    /// the trace not yet resident, the stored entry is replayed one segment
+    /// at a time without ever materialising the whole op vector — the
+    /// bounded-memory half of the segmented-trace contract.  A damaged entry
+    /// falls back to the full decode, which detects and heals it.
     pub fn sweep(&self, index: usize) -> Result<&Vec<DcacheRow>, OptimizeError> {
         self.sweeps[index].get_or_try_materialize(|| {
             let fp = self.fingerprints[index];
@@ -1484,47 +1513,52 @@ impl<'a> CampaignSession<'a> {
                 "sweep",
                 self.engine.sweep_key(fp),
                 || self.engine.try_load_json::<Vec<DcacheRow>>("sweep", self.engine.sweep_key(fp)),
-                || self.compute_sweep_cold(index, fp),
+                || {
+                    self.engine.compute_and_persist_sweep(fp, &self.names[index], |feasible| {
+                        let threads = self.engine.measurement.threads;
+                        self.replay_from_best_source(index, feasible, threads)
+                    })
+                },
             )?;
             self.bump(computed, |c| (&mut c.sweeps_computed, &mut c.sweep_store_hits));
             Ok(sweep)
         })
     }
 
-    /// The sweep-miss recompute path (runs under the sweep claim): streaming
-    /// replay of the stored trace entry when possible, full decode + capture
-    /// otherwise.
-    fn compute_sweep_cold(&self, index: usize, fp: u64) -> Result<Vec<DcacheRow>, OptimizeError> {
+    /// Retime `configs` against workload `index`'s trace from the best
+    /// source available — the one replay source of every session study
+    /// that misses the store:
+    ///
+    /// 1. a resident trace: in-memory batch replay, class-span × segment
+    ///    units over `threads` workers ([`replay_batch_indexed`]);
+    /// 2. otherwise the stored entry, streamed one verified segment at a
+    ///    time ([`leon_sim::replay_batch_streamed`]: serial, bounded
+    ///    memory, and the trace never becomes resident);
+    /// 3. otherwise — no store, no usable entry, or a codec error mid-stream
+    ///    — [`CampaignSession::trace`]'s full decode or recapture, which
+    ///    counts a damaged entry and heals it.
+    ///
+    /// Every source yields bit-identical results.
+    fn replay_from_best_source(
+        &self,
+        index: usize,
+        configs: &[LeonConfig],
+        threads: usize,
+    ) -> Result<Vec<Result<Stats, SimError>>, OptimizeError> {
+        let max_cycles = self.engine.measurement.max_cycles;
         if !self.traces[index].is_materialized() {
-            if let Some(streamed) = self.engine.open_streamed_trace(fp) {
-                match crate::dcache_study::dcache_exhaustive_traced_streamed(
-                    &streamed,
-                    &self.engine.base,
-                    &self.engine.model,
-                    self.engine.measurement.max_cycles,
-                ) {
-                    Ok(sweep) => {
-                        self.engine.persist_json(
-                            "sweep",
-                            self.engine.sweep_key(fp),
-                            &format!("sweep for {}", self.names[index]),
-                            &sweep,
-                        );
-                        return Ok(sweep);
-                    }
-                    Err(crate::dcache_study::StreamedSweepError::Sim(e)) => {
-                        return Err(e.into());
-                    }
-                    Err(crate::dcache_study::StreamedSweepError::Codec(_)) => {
-                        // the stored entry is damaged mid-payload: fall
-                        // through to the full decode, which recounts the
-                        // corruption and recaptures the trace
-                    }
+            if let Some(streamed) = self.engine.open_streamed_trace(self.fingerprints[index]) {
+                if let Ok(results) = leon_sim::replay_batch_streamed(&streamed, configs, max_cycles)
+                {
+                    return Ok(results);
                 }
+                // the stored entry is damaged mid-payload: fall through to
+                // the full decode, which recounts the corruption and
+                // recaptures the trace
             }
         }
         let entry = self.trace(index)?;
-        Ok(self.engine.compute_and_persist_sweep(fp, entry)?)
+        Ok(replay_batch_indexed(&entry.trace, configs, max_cycles, threads))
     }
 
     /// The workload's per-application optimum; a store hit touches neither
@@ -1554,18 +1588,33 @@ impl<'a> CampaignSession<'a> {
         })
     }
 
-    /// Materialise the measurement artifacts a co-optimization solve needs:
-    /// every trace (parallel — capture is the expensive, guest-executing
-    /// phase) and every cost table (serial; the per-variable fan-out inside
-    /// each measurement already saturates the pool).
-    fn materialize_measurements(&self) -> Result<(), OptimizeError> {
+    /// Materialise every cost table a co-optimization solve needs, in suite
+    /// order.  The traces of the tables that must be measured — no store, or
+    /// no entry by an envelope-only peek — are materialised first, in
+    /// parallel (capture is the expensive, guest-executing phase); the
+    /// tables then follow serially, since the per-variable fan-out inside
+    /// each measurement already saturates the pool.  When every table is
+    /// stored, no trace is touched.
+    fn materialize_tables(&self) -> Result<Vec<&CostTable>, OptimizeError> {
+        let to_measure: Vec<usize> = (0..self.len())
+            .filter(|&i| {
+                !self.tables[i].is_materialized()
+                    && !self.engine.stored("table", self.engine.table_key(self.fingerprints[i]))
+            })
+            .collect();
+        let results = run_indexed(to_measure.len(), self.engine.measurement.threads, |k| {
+            self.trace(to_measure[k]).map(|_| ())
+        });
+        collect_indexed(results)?;
+        (0..self.len()).map(|i| self.table(i)).collect()
+    }
+
+    /// Materialise every trace (store load or capture), in parallel.
+    pub(crate) fn materialize_traces(&self) -> Result<(), OptimizeError> {
         let results = run_indexed(self.len(), self.engine.measurement.threads, |i| {
             self.trace(i).map(|_| ())
         });
         collect_indexed(results)?;
-        for i in 0..self.len() {
-            self.table(i)?;
-        }
         Ok(())
     }
 
@@ -1590,10 +1639,7 @@ impl<'a> CampaignSession<'a> {
     /// eager (PR-3) semantics, used by tests that exercise the whole store
     /// surface and by the `warm_eager` benchmark baseline.
     pub fn materialize_all(&self) -> Result<(), OptimizeError> {
-        let results = run_indexed(self.len(), self.engine.measurement.threads, |i| {
-            self.trace(i).map(|_| ())
-        });
-        collect_indexed(results)?;
+        self.materialize_traces()?;
         self.materialize_result_artifacts()
     }
 
@@ -1742,12 +1788,21 @@ impl<'a> CampaignSession<'a> {
         b.finish()
     }
 
+    /// Whether the store holds a co-optimization outcome for the canonical
+    /// `shares` (an envelope-only peek; false without a store).
+    pub(crate) fn co_stored(&self, shares: &[f64]) -> bool {
+        self.engine.stored("co", self.co_key(shares))
+    }
+
     /// Co-optimize the session's suite for a workload mix.
     ///
     /// With a store attached, an unchanged (mix, artifact-set) pair is
     /// served straight from disk — no trace bytes, no tables, no replays,
-    /// no solver.  Only a miss materialises the traces and cost tables and
-    /// runs blend + BINLP + replay validation, then persists the outcome.
+    /// no solver.  Only a miss materialises the cost tables, runs the blend,
+    /// the BINLP solve and replay validation, then persists the outcome.
+    /// Validation replays each workload's `[base, recommended]` batch from
+    /// the same trace source as [`CampaignSession::sweep`], so on a warm
+    /// store the traces are streamed, never decoded whole.
     pub fn co_optimize(&self, mix: &[f64]) -> Result<CoOutcome, OptimizeError> {
         if mix.len() != self.len() {
             return Err(OptimizeError::InvalidMix(format!(
@@ -1764,14 +1819,14 @@ impl<'a> CampaignSession<'a> {
             key,
             || self.engine.try_load_json::<CoOutcome>("co", key),
             || -> Result<CoOutcome, OptimizeError> {
-                self.materialize_measurements()?;
-                let entries: Vec<&TracedWorkload> = (0..self.len())
-                    .map(|i| self.traces[i].get().expect("just materialised"))
-                    .collect();
-                let tables: Vec<&CostTable> = (0..self.len())
-                    .map(|i| self.tables[i].get().expect("just materialised"))
-                    .collect();
-                let outcome = self.engine.co_optimize_on(&entries, &tables, mix)?;
+                let tables = self.materialize_tables()?;
+                // the session's traces are all captured on the engine's base
+                // (a stored entry captured elsewhere is never trusted)
+                let base = self.engine.base;
+                let outcome = self.engine.co_optimize_on(&self.names, &tables, mix, |i, rec| {
+                    let results = self.replay_from_best_source(i, &[base, *rec], 1)?;
+                    Ok(validation_cycles(results)?)
+                })?;
                 self.engine.persist_json("co", key, "co-optimization outcome", &outcome);
                 Ok(outcome)
             },

@@ -87,7 +87,7 @@ pub fn dcache_exhaustive(
 /// one call to `retime` (one result per feasible configuration, in
 /// combination order), and assemble the rows: combination order, infeasible
 /// rows untimed, the lowest-indexed error propagated.
-fn sweep_rows<E: From<SimError>>(
+pub(crate) fn sweep_rows<E: From<SimError>>(
     base: &LeonConfig,
     model: &SynthesisModel,
     retime: impl FnOnce(&[LeonConfig]) -> Result<Vec<Result<Stats, SimError>>, E>,

@@ -73,6 +73,15 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Fewest store-missing mixes for which a population decodes every trace
+/// once before its fan-out rather than streaming the stored traces once per
+/// mix.  Measured by the population bench's `warm_novel_mixes/<k>` rows
+/// (`Scale::Small`, 2 CPUs): decoding costs ≈ 49 ms once plus ≈ 9 ms per
+/// mix, streaming ≈ 20 ms per mix, so they cross between 4 and 5 mixes;
+/// `Scale::Medium` ties at 4 as well.  Decoded traces stay resident in the
+/// session.
+const DECODE_ONCE_MIN_MISSES: usize = 5;
+
 /// Generate `n` deterministic tenant mixes over `workloads` workloads from
 /// `seed`.  Weights are drawn from the small integer grid `0..=4` (re-drawn
 /// when all-zero), which deliberately produces scalar-multiple collisions —
@@ -296,6 +305,13 @@ impl<'a> CampaignSession<'a> {
         // co_optimize is store-backed, so already-solved mixes are JSON
         // loads and a brute-force per-mix loop lands on identical bytes
         let threads = self.engine().measurement().threads;
+        // a mix that misses the store validates over every trace, streamed
+        // unless resident: past the measured crossover, decode each trace
+        // once up front instead of streaming it once per mix
+        let misses = unique_profile.iter().filter(|&&p| !self.co_stored(&tenant_shares[p])).count();
+        if misses >= DECODE_ONCE_MIN_MISSES {
+            self.materialize_traces()?;
+        }
         let solved = run_indexed(unique_profile.len(), threads, |u| {
             self.co_optimize(&profiles[unique_profile[u]].weights)
         });

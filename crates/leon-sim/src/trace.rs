@@ -288,16 +288,6 @@ fn derive_segments(
     let mut resident: u32 = 1;
     let mut run_line: Option<u32> = None;
 
-    let fold_push = |folded: &mut Vec<u64>, run_line: &mut Option<u32>, addr: u32, write: bool| {
-        if *run_line == Some(addr >> 4) {
-            *folded.last_mut().expect("a run leader precedes every extension") +=
-                1 << TagCache::MEM_RUN_SHIFT;
-        } else {
-            folded.push(addr as u64 | if write { TagCache::WRITE_BIT } else { 0 });
-            *run_line = (!write).then(|| addr >> 4);
-        }
-    };
-
     for (index, &start) in boundaries.iter().enumerate() {
         let end = boundaries.get(index + 1).copied().unwrap_or(ops.len());
         segments.push(SegmentMeta {
@@ -315,29 +305,51 @@ fn derive_segments(
             if op.flags == 0 {
                 continue;
             }
-            if op.flags & flags::LOAD != 0 {
-                fold_push(&mut folded, &mut run_line, op.aux, false);
+            fold_op(&mut folded, &mut run_line, op);
+            if op.flags & flags::SAVE != 0 && resident < nwindows - 1 {
+                resident += 1;
             }
-            if op.flags & flags::STORE != 0 {
-                fold_push(&mut folded, &mut run_line, op.aux, true);
-            }
-            if op.flags & flags::SAVE != 0 {
-                folded.push(FOLD_MARKER_BIT | op.aux as u64);
-                run_line = None;
-                if resident < nwindows - 1 {
-                    resident += 1;
-                }
-            }
-            if op.flags & flags::RESTORE != 0 {
-                folded.push(FOLD_MARKER_BIT | FOLD_RESTORE_BIT | op.aux as u64);
-                run_line = None;
-                if resident > 1 {
-                    resident -= 1;
-                }
+            if op.flags & flags::RESTORE != 0 && resident > 1 {
+                resident -= 1;
             }
         }
     }
     (segments, folded)
+}
+
+/// Append one record's folded items to `folded` — the one spelling of the
+/// folded format, shared by [`derive_segments`] and the streamed segment
+/// cross-check: its load and store, then its `save`/`restore` marker, which
+/// closes the open read run whose line is `run_line`.
+#[inline(always)]
+fn fold_op(folded: &mut Vec<u64>, run_line: &mut Option<u32>, op: &TraceOp) {
+    if op.flags & flags::LOAD != 0 {
+        fold_access(folded, run_line, op.aux, false);
+    }
+    if op.flags & flags::STORE != 0 {
+        fold_access(folded, run_line, op.aux, true);
+    }
+    if op.flags & flags::SAVE != 0 {
+        folded.push(FOLD_MARKER_BIT | op.aux as u64);
+        *run_line = None;
+    }
+    if op.flags & flags::RESTORE != 0 {
+        folded.push(FOLD_MARKER_BIT | FOLD_RESTORE_BIT | op.aux as u64);
+        *run_line = None;
+    }
+}
+
+/// Fold one memory access into `folded`: extend the open read run of its
+/// 16-byte line, or lead a new item (a write never opens a run).
+#[inline(always)]
+fn fold_access(folded: &mut Vec<u64>, run_line: &mut Option<u32>, addr: u32, write: bool) {
+    if *run_line == Some(addr >> 4) {
+        *folded.last_mut().expect("a run leader precedes every extension") +=
+            1 << TagCache::MEM_RUN_SHIFT;
+    } else {
+        folded.push(addr as u64 | if write { TagCache::WRITE_BIT } else { 0 });
+        *run_line = (!write).then_some(addr >> 4);
+    }
 }
 
 /// A captured execution trace: the full timing-relevant event stream of one
@@ -612,13 +624,19 @@ fn encode_folded(out: &mut [u8], items: &[u64]) {
     }
 }
 
-/// Append the 10-byte records in `bytes` to `ops`.
-fn decode_ops(bytes: &[u8], ops: &mut Vec<TraceOp>) {
-    ops.extend(bytes.chunks_exact(10).map(|c| TraceOp {
+/// Decode one 10-byte record.
+#[inline(always)]
+fn decode_op(c: &[u8]) -> TraceOp {
+    TraceOp {
         pc: u32::from_le_bytes(c[0..4].try_into().unwrap()),
         flags: u16::from_le_bytes(c[4..6].try_into().unwrap()),
         aux: u32::from_le_bytes(c[6..10].try_into().unwrap()),
-    }));
+    }
+}
+
+/// Append the 10-byte records in `bytes` to `ops`.
+fn decode_ops(bytes: &[u8], ops: &mut Vec<TraceOp>) {
+    ops.extend(bytes.chunks_exact(10).map(decode_op));
 }
 
 /// The 8-byte folded items in `bytes`.
@@ -1796,7 +1814,7 @@ impl MemWalkCore {
                 *block.last_mut().expect("a run leader precedes every extension") += RUN_ONE;
             } else {
                 block.push(addr as u64 | if write { TagCache::WRITE_BIT } else { 0 });
-                *run_line = (!write).then(|| addr >> 4);
+                *run_line = (!write).then_some(addr >> 4);
             }
         };
 
@@ -2170,26 +2188,51 @@ impl StreamedTrace {
     /// re-derivation from the segment's own records (folds never cross a
     /// segment boundary, so no predecessor context is needed).
     pub fn load_segment(&self, i: usize) -> Result<TraceSegment, TraceCodecError> {
+        let mut segment = TraceSegment { ops: Vec::new(), folded: Vec::new() };
+        self.load_segment_into(i, &mut Vec::new(), &mut segment)?;
+        Ok(segment)
+    }
+
+    /// [`StreamedTrace::load_segment`] into caller-owned buffers: `buf`
+    /// receives the raw payload and `segment` the decoded records plus the
+    /// folded items re-derived from them, which are compared with the stored
+    /// items in place.  A batch reuses one `buf` and one `segment` for every
+    /// segment, so a streamed replay allocates nothing per segment once the
+    /// largest one has been seen.
+    fn load_segment_into(
+        &self,
+        i: usize,
+        buf: &mut Vec<u8>,
+        segment: &mut TraceSegment,
+    ) -> Result<(), TraceCodecError> {
         assert!(i < self.header.segments.len(), "segment index out of range");
         let info = &self.header.segments[i];
         let (recs, _, len) = segment_payload_len(&self.header, i);
-        let mut bytes = vec![0u8; len as usize];
+        // every byte is overwritten by the read, so only growth is zeroed
+        buf.resize(len as usize, 0);
         self.source
-            .read_at(self.payload_base + info.payload_offset, &mut bytes)
+            .read_at(self.payload_base + info.payload_offset, buf)
             .map_err(|e| TraceCodecError::new(format!("could not read segment {i}: {e}")))?;
-        verify_segment(i, info, &bytes)?;
-        let (records, items) = bytes.split_at(recs as usize * 10);
-        let mut ops = Vec::with_capacity(recs as usize);
-        decode_ops(records, &mut ops);
-        let folded: Vec<u64> = decode_folded(items).collect();
-        let (_, derived) =
-            derive_segments(&ops, &[0], self.header.captured.iu.reg_windows as u32);
-        if derived != folded {
+        verify_segment(i, info, buf)?;
+        let (records, items) = buf.split_at(recs as usize * 10);
+        // decode and re-fold in one pass over the records
+        segment.ops.clear();
+        segment.folded.clear();
+        let folded = &mut segment.folded;
+        let mut run_line = None;
+        segment.ops.extend(records.chunks_exact(10).map(|c| {
+            let op = decode_op(c);
+            if op.flags != 0 {
+                fold_op(folded, &mut run_line, &op);
+            }
+            op
+        }));
+        if !decode_folded(items).eq(segment.folded.iter().copied()) {
             return Err(TraceCodecError::new(format!(
                 "segment {i}: stored folded items do not match the record stream"
             )));
         }
-        Ok(TraceSegment { ops, folded })
+        Ok(())
     }
 }
 
@@ -2198,7 +2241,8 @@ impl StreamedTrace {
 /// O(largest segment + classes), never O(trace).
 ///
 /// The same driver as [`replay_batch`], fed verified
-/// [`StreamedTrace::load_segment`] loads instead of borrowed slices, so
+/// [`StreamedTrace::load_segment`] loads (into one read buffer and one
+/// decoded segment reused across the batch) instead of borrowed slices, so
 /// element `i` equals `replay_batch` on the fully-decoded trace bit-for-bit.
 /// The walk is serial (all classes advance together through each segment);
 /// callers wanting parallelism should decode fully and partition class ×
@@ -2219,8 +2263,10 @@ pub fn replay_batch_streamed(
         underflows: header.base_underflows,
     };
     let plan = BatchPlan::new(captured, configs, max_cycles);
+    let mut buf = Vec::new();
+    let mut segment = TraceSegment { ops: Vec::new(), folded: Vec::new() };
     plan.run(streamed.segment_count(), |seg, walk| {
-        let segment = streamed.load_segment(seg)?;
+        streamed.load_segment_into(seg, &mut buf, &mut segment)?;
         walk(&segment.ops, &segment.folded);
         Ok(())
     })

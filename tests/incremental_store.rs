@@ -10,6 +10,11 @@
 //! * **corruption/eviction safety** — truncated or bit-flipped entries are
 //!   detected (checksum/version validation), recomputed, and the final
 //!   results still match the cold run;
+//! * **streamed warm co-optimization** — a never-seen mix on a warm store
+//!   validates over streamed stored traces: byte-identical to a store-less
+//!   run, no trace decoded whole, a damaged segment counted once and
+//!   healed, and base cycles never read from the unchecksummed base-cost
+//!   prefix;
 //! * **invalidation precision** — updating one workload of a 4-workload mix
 //!   re-captures exactly one trace and re-measures exactly one cost table;
 //!   the other three are served from the store;
@@ -30,10 +35,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use liquid_autoreconf::apps::{
-    benchmark_suite, guest_instructions_executed, trace_payload_bytes_read, Arith, Scale,
-    Workload,
+    benchmark_suite, capture_verified, guest_instructions_executed, trace_payload_bytes_read,
+    Arith, Scale, Workload,
 };
 use liquid_autoreconf::isa::Program;
+use liquid_autoreconf::sim::{replay, replay_batch_streamed, LeonConfig, StreamedTrace};
 use liquid_autoreconf::tuner::{
     ArtifactStore, Campaign, CampaignResult, Fingerprint, FingerprintBuilder, MeasurementOptions,
     ParameterSpace, Weights,
@@ -255,7 +261,6 @@ fn streamed_sweeps_never_trust_a_damaged_trace_header() {
     // flip the low bit of the stored instruction count in every trace entry
     // (past the 40-byte envelope and the 16-byte base-cost prefix), and
     // drop every stored sweep so each one is recomputed from its trace
-    const TRACE_AT: usize = 40 + 16;
     for file in store.entries(Some("trace")) {
         let mut bytes = std::fs::read(&file).unwrap();
         let header = liquid_autoreconf::sim::Trace::peek_header(&bytes[TRACE_AT..]).unwrap();
@@ -428,6 +433,142 @@ fn sessions_pin_their_entries_against_gc() {
     let recomputed = json(&campaign.run(&suite, &MIX).unwrap());
     assert_eq!(recomputed, cold);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Warm co-optimization over streamed stored traces
+// ---------------------------------------------------------------------------
+
+/// A mix no test stores a co outcome for.
+const NOVEL: [f64; 4] = [0.1, 0.2, 0.3, 0.4];
+
+/// Envelope plus base-cost prefix: where the serialised trace starts in a
+/// stored trace entry file.
+const TRACE_AT: usize = 40 + 16;
+
+fn co_json(campaign: &Campaign, suite: &[Box<dyn Workload + Send + Sync>], mix: &[f64]) -> String {
+    serde_json::to_string(&campaign.session(suite).unwrap().co_optimize(mix).unwrap()).unwrap()
+}
+
+/// A store warmed by a whole campaign for `MIX` (every trace, table, sweep
+/// and optimum, plus the co outcome for `MIX` only).
+fn warm_store(tag: &str, threads: usize, suite: &[Box<dyn Workload + Send + Sync>]) -> PathBuf {
+    let dir = scratch_dir(tag);
+    engine(threads, Some(ArtifactStore::open(&dir).unwrap())).run(suite, &MIX).unwrap();
+    dir
+}
+
+#[test]
+fn warm_novel_mix_streams_the_stored_traces_and_matches_a_storeless_run() {
+    let _g = lock();
+    let suite = benchmark_suite(Scale::Tiny);
+    for threads in [1, 4] {
+        let reference = co_json(&engine(threads, None), &suite, &NOVEL);
+        let dir = warm_store("novel", threads, &suite);
+        let store = ArtifactStore::open(&dir).unwrap();
+        let trace_payload: u64 = store
+            .entries(Some("trace"))
+            .iter()
+            .map(|f| std::fs::metadata(f).unwrap().len() - 40)
+            .sum();
+
+        let session = engine(threads, Some(store.clone())).session(&suite).unwrap();
+        for i in 0..suite.len() {
+            session.table(i).unwrap();
+        }
+        let read_before = store.stats().payload_bytes_read;
+        let streamed_before = trace_payload_bytes_read();
+        let guests_before = guest_instructions_executed();
+        let co = serde_json::to_string(&session.co_optimize(&NOVEL).unwrap()).unwrap();
+        assert_eq!(co, reference, "threads={threads}: warm novel mix must match a store-less run");
+
+        let c = session.counters();
+        assert_eq!(
+            (c.trace_store_hits, c.trace_captures),
+            (0, 0),
+            "threads={threads}: no trace is decoded whole or recaptured"
+        );
+        let read = store.stats().payload_bytes_read - read_before;
+        assert!(
+            read <= trace_payload,
+            "threads={threads}: the co-optimization read {read} bytes, more than the \
+             {trace_payload} bytes of stored trace payload"
+        );
+        assert!(trace_payload_bytes_read() > streamed_before, "the traces were streamed");
+        assert_eq!(guest_instructions_executed(), guests_before);
+        assert_eq!(store.stats().corrupt, 0);
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn warm_novel_mix_over_a_damaged_segment_heals_and_matches_a_storeless_run() {
+    let _g = lock();
+    let suite = benchmark_suite(Scale::Tiny);
+    for threads in [1, 4] {
+        let reference = co_json(&engine(threads, None), &suite, &NOVEL);
+        let dir = warm_store("segment-flip", threads, &suite);
+
+        // the last byte of an entry file lies in its trace's last segment
+        let file = ArtifactStore::open(&dir).unwrap().entries(Some("trace"))[0].clone();
+        let mut bytes = std::fs::read(&file).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&file, &bytes).unwrap();
+
+        let store = ArtifactStore::open(&dir).unwrap();
+        let session = engine(threads, Some(store.clone())).session(&suite).unwrap();
+        let co = serde_json::to_string(&session.co_optimize(&NOVEL).unwrap()).unwrap();
+        assert_eq!(co, reference, "threads={threads}: a damaged segment changed the answer");
+        assert_eq!(store.stats().corrupt, 1, "threads={threads}: the damage is counted once");
+        assert_eq!(session.counters().trace_captures, 1, "only the damaged trace is recaptured");
+        drop(session);
+        let report = store.doctor(false).unwrap();
+        assert!(report.is_clean(), "threads={threads}: the recapture healed the store: {report:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn warm_novel_mix_never_reads_base_cycles_from_the_stored_prefix() {
+    // The streamed path skips the 16-byte base-cost prefix, and no checksum
+    // it verifies covers those bytes: base cycles must come from replaying
+    // the captured configuration over the verified header.
+    let _g = lock();
+    let suite = benchmark_suite(Scale::Tiny);
+    for threads in [1, 4] {
+        let reference = co_json(&engine(threads, None), &suite, &NOVEL);
+        let dir = warm_store("prefix", threads, &suite);
+        for file in ArtifactStore::open(&dir).unwrap().entries(Some("trace")) {
+            let mut bytes = std::fs::read(&file).unwrap();
+            bytes[40..TRACE_AT].copy_from_slice(&[0x5a; 16]);
+            std::fs::write(&file, &bytes).unwrap();
+        }
+
+        let store = ArtifactStore::open(&dir).unwrap();
+        let session = engine(threads, Some(store.clone())).session(&suite).unwrap();
+        let co = serde_json::to_string(&session.co_optimize(&NOVEL).unwrap()).unwrap();
+        assert_eq!(co, reference, "threads={threads}: base cycles were read from the prefix");
+        let c = session.counters();
+        assert_eq!((c.trace_store_hits, c.trace_captures), (0, 0), "the traces were streamed");
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn replay_reproduces_capture_config_exactly_for_every_suite_workload() {
+    let _g = lock(); // capturing ticks the guest-instruction counter
+    // The warm co-optimization's base cycles rest on this: replaying the
+    // captured configuration — in memory or streamed — is the capture run.
+    let base = LeonConfig::base();
+    for workload in benchmark_suite(Scale::Tiny) {
+        let (run, trace) = capture_verified(workload.as_ref(), &base, MAX_CYCLES).unwrap();
+        assert_eq!(replay(&trace, &base, MAX_CYCLES).unwrap(), run.stats, "{}", workload.name());
+        let streamed = StreamedTrace::open(Box::new(trace.to_bytes())).unwrap();
+        let results = replay_batch_streamed(&streamed, &[base], MAX_CYCLES).unwrap();
+        assert_eq!(results[0].as_ref().unwrap(), &run.stats, "{} (streamed)", workload.name());
+    }
 }
 
 // ---------------------------------------------------------------------------

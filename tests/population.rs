@@ -14,7 +14,10 @@
 //!   shares, lands on the same store entry (one cold compute,
 //!   counter-asserted via guest instructions and `co` entry counts) and
 //!   returns byte-identical outcomes; a population of scalar multiples
-//!   collapses onto one unique mix.
+//!   collapses onto one unique mix;
+//! * **warm novel mixes** — on a store warmed by one campaign, populations
+//!   of one and of several never-seen mixes are byte-identical to a
+//!   store-less solve and capture nothing.
 //!
 //! Counter-asserting tests share one process-wide lock so every
 //! guest-instruction delta stays attributable.
@@ -122,6 +125,54 @@ fn frontier_covers_every_tenant_within_tolerance() {
         "a 64-mix grid population must contain scalar-multiple duplicates"
     );
     assert!(outcome.render().contains("frontier"));
+}
+
+#[test]
+fn warm_store_populations_of_novel_mixes_match_a_storeless_run() {
+    // A store warmed by one campaign holds every trace and cost table but
+    // no co outcome for these mixes: one novel mix validates over streamed
+    // stored traces, five decode each trace once before the fan-out.
+    // Either way the population is byte-identical to a store-less solve.
+    let _g = lock();
+    let suite = benchmark_suite(Scale::Tiny);
+    let novel = |n: usize| -> Vec<MixProfile> {
+        (0..n)
+            .map(|i| MixProfile {
+                name: format!("novel-{i}"),
+                weights: (0..suite.len()).map(|w| 1.0 + ((i + 2 * w) % 5) as f64 / 8.0).collect(),
+            })
+            .collect()
+    };
+    for threads in [1, 4] {
+        let dir = scratch_dir("warm-novel");
+        engine(threads, Some(ArtifactStore::open(&dir).unwrap()))
+            .run(&suite, &Campaign::equal_mix(suite.len()))
+            .unwrap();
+        for mixes in [novel(1), novel(5)] {
+            let plain = engine(threads, None).session(&suite).unwrap();
+            let expected = population_json(&plain.population(&mixes, TOLERANCE_PCT).unwrap());
+
+            let guests_before = guest_instructions_executed();
+            let warm = engine(threads, Some(ArtifactStore::open(&dir).unwrap()));
+            let session = warm.session(&suite).unwrap();
+            let outcome = session.population(&mixes, TOLERANCE_PCT).unwrap();
+            assert_eq!(
+                outcome.unique.len(),
+                mixes.len(),
+                "every mix must be distinct, so each one misses the store"
+            );
+            assert_eq!(
+                population_json(&outcome),
+                expected,
+                "threads={threads}, {} novel mixes: warm must equal store-less",
+                mixes.len()
+            );
+            assert_eq!(session.counters().trace_captures, 0);
+            assert_eq!(guest_instructions_executed(), guests_before);
+            assert_eq!(warm.store().unwrap().stats().corrupt, 0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
