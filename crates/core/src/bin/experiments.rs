@@ -644,8 +644,7 @@ fn run_store_action(action: &StoreAction, store_dir: &Option<String>) -> Result<
         }
         StoreAction::Stats => {
             let usage = store.usage();
-            let manifest = store.manifest();
-            println!("store {}: manifest clock {}", store.dir().display(), manifest.clock);
+            println!("store {}:", store.dir().display());
             println!("{:<10} {:>8} {:>14}", "kind", "entries", "file bytes");
             let mut entries = 0usize;
             let mut bytes = 0u64;

@@ -923,8 +923,9 @@ impl Campaign {
         mut try_load: impl FnMut() -> Option<T>,
         compute: impl FnOnce() -> Result<T, E>,
     ) -> Result<(T, bool), E> {
-        // stamp *before* the load: any publish after this point changes the
-        // stamp and forces the next load attempt to look again
+        // stamp *before* the load: any publish after this point renames a
+        // fresh inode into place, changing the stamp and forcing the next
+        // load attempt to look again (a load's own mtime touch does not)
         let mut last_seen = self.store.as_ref().and_then(|s| s.entry_file_stamp(kind, key));
         if let Some(value) = try_load() {
             return Ok((value, false));

@@ -58,8 +58,8 @@ pub use population::{
 pub use faults::{FaultAction, FaultCounters, FaultPlan, FaultRule};
 pub use store::{
     ArtifactStore, ClaimOutcome, DoctorReport, EntryMeta, Fingerprint, FingerprintBuilder,
-    GcReport, KindUsage, LazyArtifact, Lease, LeaseInfo, LeaseWaitTimeout, Manifest,
-    ManifestEntry, PackStats, StoreStats, DEFAULT_LEASE_TTL, DEFAULT_LEASE_WAIT,
+    GcReport, KindUsage, LazyArtifact, Lease, LeaseInfo, LeaseWaitTimeout, PackStats,
+    StoreStats, DEFAULT_LEASE_TTL, DEFAULT_LEASE_WAIT,
 };
 pub use dcache_study::{
     best_runtime_row, dcache_exhaustive, dcache_exhaustive_full, dcache_exhaustive_traced,

@@ -32,31 +32,33 @@
 //!   key race to [`ArtifactStore::try_claim`] a *lease* file beside the
 //!   entry; exactly one acquires it and computes, the rest block on the
 //!   winner's atomically published result
-//!   ([`ArtifactStore::await_entry_or_lease`]) instead of recomputing.
+//!   ([`ArtifactStore::await_entry_or_lease_deadline`]) instead of recomputing.
 //!   Leases are renewed by a heartbeat while the winner computes and expire
 //!   (and are taken over) when the holder crashes, so the protocol adds
 //!   liveness without ever risking wrongness: even a duplicated compute in
 //!   the crash-recovery path saves byte-identical bytes.
 //!
-//! # Store lifecycle (manifest, GC, doctor, pack)
+//! # Store lifecycle (recency, GC, doctor, pack)
 //!
-//! Alongside the entries the store maintains a [`Manifest`] index file
-//! (`manifest.json`, written atomically like every entry): one record per
-//! entry carrying the kind, the fingerprint, the payload size, the payload
-//! checksum and a logical last-access stamp.  The manifest is *advisory* —
-//! artifact correctness always comes from full envelope + checksum
-//! validation at load time — but it is what makes the lifecycle operations
-//! cheap:
+//! The directory is the index: every entry is one `<kind>-<fingerprint>.art`
+//! file, and its size and envelope are all the metadata there is.  Recency
+//! is the entry file's mtime — [`ArtifactStore::save`] and every successful
+//! [`ArtifactStore::load`] / [`ArtifactStore::open_payload_reader`] set it
+//! to the current time through the open file handle (best effort: a failed
+//! touch never fails the read).  Every process sharing the directory
+//! therefore sees every other one's accesses at once, with no index file
+//! to flush, merge or rebuild:
 //!
 //! * [`ArtifactStore::peek`] answers "is a valid-looking entry present?"
 //!   from the 40-byte envelope and the file size alone — the payload is
-//!   never read, which is what keeps presence checks O(1) even for
-//!   multi-megabyte trace entries;
-//! * [`ArtifactStore::gc`] evicts least-recently-accessed entries until the
-//!   store fits a byte budget, never touching entries pinned by an open
+//!   never read (and the mtime never touched), which is what keeps
+//!   presence checks O(1) even for multi-megabyte trace entries;
+//! * [`ArtifactStore::gc`] evicts least-recently-accessed entries — in
+//!   ascending `(mtime, kind, fingerprint)` order — until the store fits a
+//!   byte budget, never touching entries pinned by an open
 //!   [`crate::campaign::CampaignSession`];
-//! * [`ArtifactStore::doctor`] verifies (and optionally repairs) the
-//!   manifest ↔ directory correspondence and every entry's integrity;
+//! * [`ArtifactStore::doctor`] verifies (and optionally repairs) every
+//!   entry's integrity and the directory's guard and temporary files;
 //! * [`ArtifactStore::pack_to`] / [`ArtifactStore::unpack_from`] serialise
 //!   the whole store into one portable, platform-independent file — the
 //!   format is little-endian and content-addressed, so a store packed on
@@ -69,7 +71,7 @@
 //! `campaign --gc-budget` or `AUTORECONF_STORE_BUDGET`.
 
 use std::collections::{HashMap, HashSet};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -91,16 +93,12 @@ pub const STORE_FORMAT_VERSION: u32 = 2;
 /// artifact from before the change misses and is recomputed.
 pub const RESULTS_VERSION: u32 = 1;
 
-/// Version of the [`Manifest`] index schema.
-pub const MANIFEST_VERSION: u32 = 1;
-
 /// Version of the portable pack format written by [`ArtifactStore::pack_to`].
 pub const PACK_FORMAT_VERSION: u32 = 1;
 
 const ENTRY_MAGIC: [u8; 4] = *b"ARST";
 const PACK_MAGIC: [u8; 4] = *b"ARPK";
 const ENVELOPE_LEN: usize = 40;
-const MANIFEST_FILE: &str = "manifest.json";
 
 /// Version of the lease-file body written by [`ArtifactStore::try_claim`].
 pub const LEASE_VERSION: u32 = 1;
@@ -119,16 +117,16 @@ pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(10);
 /// interrupted writer and are safe to remove.
 pub const DEFAULT_TMP_GRACE: Duration = Duration::from_secs(60);
 
-/// Initial poll interval of [`ArtifactStore::await_entry_or_lease`]; the
+/// Initial poll interval of [`ArtifactStore::await_entry_or_lease_deadline`]; the
 /// wait backs off exponentially from here up to [`LEASE_POLL_MAX`].
 const LEASE_POLL: Duration = Duration::from_millis(5);
 
-/// Backoff cap of [`ArtifactStore::await_entry_or_lease`]: waiters never
+/// Backoff cap of [`ArtifactStore::await_entry_or_lease_deadline`]: waiters never
 /// sleep longer than this between looks, so a published entry is noticed
 /// within ~100 ms even after a long wait.
 const LEASE_POLL_MAX: Duration = Duration::from_millis(100);
 
-/// Default overall deadline of [`ArtifactStore::await_entry_or_lease`]: how
+/// Default overall deadline of [`ArtifactStore::await_entry_or_lease_deadline`]: how
 /// long a waiter tolerates a *live, renewing* lease whose holder never
 /// publishes (a wedged winner) before surfacing [`LeaseWaitTimeout`].
 /// Generous — the longest legitimate cold compute (a `Scale::Large`
@@ -164,7 +162,7 @@ pub fn lease_ttl_env() -> Result<Option<Duration>, String> {
     }
 }
 
-/// The overall [`ArtifactStore::await_entry_or_lease`] deadline in effect:
+/// The overall [`ArtifactStore::await_entry_or_lease_deadline`] deadline in effect:
 /// [`DEFAULT_LEASE_WAIT`] unless overridden by `AUTORECONF_LEASE_WAIT_MS`
 /// (cached on first use; invalid values fall back to the default — the
 /// variable only tunes how fast a *wedged-winner* bug is reported, so a
@@ -404,77 +402,9 @@ struct StatsCells {
     tmp_counter: AtomicU64,
 }
 
-// ---------------------------------------------------------------------------
-// Manifest
-// ---------------------------------------------------------------------------
-
-/// One record of the store [`Manifest`]: the envelope metadata of one entry
-/// plus its logical last-access stamp.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ManifestEntry {
-    /// Entry kind (`trace`, `table`, `sweep`, `optimum`, `co`, …).
-    pub kind: String,
-    /// The entry's content fingerprint.
-    pub fingerprint: u64,
-    /// Payload size in bytes (the entry file is 40 bytes larger).
-    pub payload_len: u64,
-    /// [`leon_sim::checksum64`] of the payload (mirrors the envelope field).
-    pub checksum: u64,
-    /// Logical access stamp: the manifest clock value of the most recent
-    /// save or load of this entry.  Larger = more recently used.
-    pub last_access: u64,
-}
-
-/// The store's index file (`manifest.json`), written atomically alongside
-/// the entries it describes.
-///
-/// The manifest is *advisory*: loads always re-validate the entry envelope
-/// and payload checksum, so a stale or missing manifest can never produce a
-/// wrong artifact — it is rebuilt from the entry envelopes on open (40
-/// bytes per entry, no payload reads) and reconciled by
-/// [`ArtifactStore::gc`] and [`ArtifactStore::doctor`].  What the manifest
-/// *is* authoritative for is the logical access clock that orders GC
-/// eviction.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Manifest {
-    /// Schema version ([`MANIFEST_VERSION`]).
-    pub version: u32,
-    /// The logical access clock: one tick per save or load.
-    pub clock: u64,
-    /// One record per entry, sorted by (kind, fingerprint).
-    pub entries: Vec<ManifestEntry>,
-}
-
-#[derive(Debug, Default)]
-struct ManifestState {
-    clock: u64,
-    entries: HashMap<(String, u64), ManifestEntry>,
-}
-
-impl ManifestState {
-    fn to_manifest(&self) -> Manifest {
-        let mut entries: Vec<ManifestEntry> = self.entries.values().cloned().collect();
-        entries.sort_by(|a, b| (&a.kind, a.fingerprint).cmp(&(&b.kind, b.fingerprint)));
-        Manifest { version: MANIFEST_VERSION, clock: self.clock, entries }
-    }
-
-    fn from_manifest(manifest: Manifest) -> ManifestState {
-        let mut state = ManifestState { clock: manifest.clock, entries: HashMap::new() };
-        for e in manifest.entries {
-            state.entries.insert((e.kind.clone(), e.fingerprint), e);
-        }
-        state
-    }
-}
-
 #[derive(Debug)]
 struct Shared {
     stats: StatsCells,
-    manifest: Mutex<ManifestState>,
-    /// In-memory manifest changes not yet persisted to `manifest.json`.
-    /// Access stamps batch here so loads stay read-only on disk; flushed by
-    /// the lifecycle passes and when a handle drops.
-    manifest_dirty: std::sync::atomic::AtomicBool,
     /// Refcounted pins: entries an open session depends on.  GC never
     /// evicts a pinned entry.
     pins: Mutex<HashMap<(String, u64), usize>>,
@@ -500,8 +430,6 @@ impl Default for Shared {
     fn default() -> Shared {
         Shared {
             stats: StatsCells::default(),
-            manifest: Mutex::new(ManifestState::default()),
-            manifest_dirty: std::sync::atomic::AtomicBool::new(false),
             pins: Mutex::new(HashMap::new()),
             pin_owner: FingerprintBuilder::new()
                 .u64(std::process::id() as u64)
@@ -616,15 +544,10 @@ pub struct DoctorReport {
     pub entries_ok: usize,
     /// Total payload bytes across valid entries.
     pub payload_bytes: u64,
-    /// Entry files that failed validation (deleted when repairing).
+    /// Entry files that failed envelope or payload-checksum validation
+    /// (deleted when repairing).  The directory is the index, so an entry
+    /// that is simply absent is not damage — it is a miss.
     pub corrupt_entries: usize,
-    /// Valid entry files missing from the manifest (indexed when repairing).
-    pub unindexed_files: usize,
-    /// Manifest records without a backing file (dropped when repairing).
-    pub stale_manifest_entries: usize,
-    /// Manifest records whose size/checksum disagree with the entry
-    /// envelope (re-synced when repairing).
-    pub mismatched_manifest_entries: usize,
     /// Leftover temporary files from interrupted writes (deleted when
     /// repairing).  Only files older than the tmp grace window count here —
     /// see [`DoctorReport::inflight_tmp_files`].
@@ -667,13 +590,10 @@ pub struct DoctorReport {
 }
 
 impl DoctorReport {
-    /// True when the store needs no repair: every entry validates and the
-    /// manifest matches the directory exactly.
+    /// True when the store needs no repair: every entry validates and no
+    /// debris (stale temporaries, expired guards) is left behind.
     pub fn is_clean(&self) -> bool {
         self.corrupt_entries == 0
-            && self.unindexed_files == 0
-            && self.stale_manifest_entries == 0
-            && self.mismatched_manifest_entries == 0
             && self.stray_tmp_files == 0
             && self.expired_leases == 0
             && self.expired_pins == 0
@@ -689,9 +609,6 @@ impl DoctorReport {
         );
         let issues = [
             (self.corrupt_entries, "corrupt entry file(s)"),
-            (self.unindexed_files, "valid file(s) missing from the manifest"),
-            (self.stale_manifest_entries, "manifest record(s) without a file"),
-            (self.mismatched_manifest_entries, "manifest record(s) out of sync"),
             (self.stray_tmp_files, "stray temporary file(s)"),
             (self.expired_leases, "expired compute lease(s) (holder crashed)"),
             (self.expired_pins, "expired pin marker(s) (pinning session crashed)"),
@@ -799,7 +716,7 @@ pub enum ClaimOutcome {
     /// [`Lease::release`]) the lease.
     Acquired(Lease),
     /// Another process holds a live claim: it is computing the entry right
-    /// now.  Wait for its result ([`ArtifactStore::await_entry_or_lease`])
+    /// now.  Wait for its result ([`ArtifactStore::await_entry_or_lease_deadline`])
     /// instead of recomputing.
     Busy(LeaseInfo),
 }
@@ -835,19 +752,7 @@ impl LeaseCore {
             crate::faults::Fault::Error => return Err(crate::faults::injected_io("lease.renew")),
             _ => {}
         }
-        let body = serde_json::to_string(&self.body())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = self.dir.join(format!(
-            ".tmp-lease-{}-{}",
-            self.owner_pid,
-            self.shared.stats.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, body.as_bytes())?;
-        let renamed = std::fs::rename(&tmp, &self.path);
-        if renamed.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        renamed
+        write_guard_file(&self.dir, &self.shared, "lease", &self.path, &self.body())
     }
 
     /// Remove the lease file iff it is still ours and still live.  An
@@ -869,27 +774,38 @@ impl LeaseCore {
     }
 }
 
-/// Atomically publish (or renew) an on-disk pin marker: a [`LeaseBody`]
-/// with a [`DEFAULT_LEASE_TTL`] expiry, written to a tmp sibling and
-/// renamed into place so readers only ever see a complete body.
-fn write_pin_marker(dir: &Path, shared: &Shared, path: &Path) -> std::io::Result<()> {
-    let pid = std::process::id();
-    let body = LeaseBody {
-        version: LEASE_VERSION,
-        owner_pid: pid,
-        token: shared.pin_owner,
-        expires_unix_ms: unix_now_ms() + lease_ttl().as_millis() as u64,
-    };
-    let text = serde_json::to_string(&body)
+/// Atomically publish a guard file (a lease renewal or a pin marker):
+/// serialise `body` to a `.tmp-<tag>-*` sibling and `rename` it over
+/// `path`, so readers only ever see a complete body.
+fn write_guard_file(
+    dir: &Path,
+    shared: &Shared,
+    tag: &str,
+    path: &Path,
+    body: &LeaseBody,
+) -> std::io::Result<()> {
+    let text = serde_json::to_string(body)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     let counter = shared.stats.tmp_counter.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!(".tmp-pin-{pid}-{counter}"));
+    let tmp = dir.join(format!(".tmp-{tag}-{}-{counter}", std::process::id()));
     std::fs::write(&tmp, text.as_bytes())?;
     let renamed = std::fs::rename(&tmp, path);
     if renamed.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
     renamed
+}
+
+/// Publish (or renew) an on-disk pin marker: a [`LeaseBody`] with a
+/// [`lease_ttl`] expiry, owned by this handle family.
+fn write_pin_marker(dir: &Path, shared: &Shared, path: &Path) -> std::io::Result<()> {
+    let body = LeaseBody {
+        version: LEASE_VERSION,
+        owner_pid: std::process::id(),
+        token: shared.pin_owner,
+        expires_unix_ms: unix_now_ms() + lease_ttl().as_millis() as u64,
+    };
+    write_guard_file(dir, shared, "pin", path, &body)
 }
 
 /// Parse the `<kind>-<16 hex>` stem shared by `.art`, `.lease` and
@@ -988,22 +904,22 @@ impl Drop for Lease {
 
 /// The content-addressed artifact store (see the module docs).
 ///
-/// Cloning is cheap and clones share statistics, the manifest and the pin
-/// table; the handle is `Sync`, so one store serves every worker of a
-/// campaign concurrently.
+/// Cloning is cheap and clones share statistics and the pin table; the
+/// handle is `Sync`, so one store serves every worker of a campaign
+/// concurrently.
 #[derive(Clone, Debug)]
 pub struct ArtifactStore {
     dir: PathBuf,
     shared: Arc<Shared>,
 }
 
-impl Drop for ArtifactStore {
-    /// Best-effort flush of batched manifest changes (quiet: the directory
-    /// may legitimately be gone by now).  The first dropping handle
-    /// persists; the flag keeps the rest no-ops unless new accesses landed.
-    fn drop(&mut self) {
-        self.flush_impl(true);
-    }
+/// Mark an open entry file as just used: set its mtime — the recency
+/// [`ArtifactStore::gc`] evicts by — to now, through the handle the caller
+/// already holds.  Best effort: on a store this process does not own the
+/// kernel refuses the update, the entry keeps its older mtime (so it merely
+/// looks less recently used), and the read it accompanies still succeeds.
+fn touch(file: &std::fs::File) {
+    let _ = file.set_modified(SystemTime::now());
 }
 
 /// Remove an entry file, treating "already gone" as success: a concurrent
@@ -1017,19 +933,12 @@ fn remove_entry_file(path: &Path) -> std::io::Result<()> {
 }
 
 impl ArtifactStore {
-    /// Open (creating if necessary) a store rooted at `dir`.
-    ///
-    /// Loads the manifest if one is present and readable; otherwise rebuilds
-    /// it from the entry envelopes (40 bytes per entry — payloads are never
-    /// read on open).
+    /// Open (creating if necessary) a store rooted at `dir`.  Nothing is
+    /// read: the directory itself is the index.
     pub fn open(dir: impl AsRef<Path>) -> std::io::Result<ArtifactStore> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let store =
-            ArtifactStore { dir, shared: Arc::new(Shared::default()) };
-        let state = store.load_or_rebuild_manifest();
-        *store.shared.manifest.lock().unwrap_or_else(|e| e.into_inner()) = state;
-        Ok(store)
+        Ok(ArtifactStore { dir, shared: Arc::new(Shared::default()) })
     }
 
     /// Open the store named by the `AUTORECONF_STORE` environment variable,
@@ -1089,17 +998,16 @@ impl ArtifactStore {
         out
     }
 
-    /// Cheap change detector for an entry file — `(length, mtime)` from
+    /// Cheap change detector for an entry file — `(length, inode)` from
     /// file metadata, no content reads.  `None` when the entry is absent.
     /// Used by the claim/lease path to decide whether a previously failed
-    /// load is worth retrying under the claim.
-    pub(crate) fn entry_file_stamp(
-        &self,
-        kind: &str,
-        key: Fingerprint,
-    ) -> Option<(u64, std::time::SystemTime)> {
+    /// load is worth retrying under the claim.  Every publish renames a
+    /// fresh inode into place, while a load's recency touch only moves the
+    /// mtime — so the detector sees publishes and never its own reads.
+    pub(crate) fn entry_file_stamp(&self, kind: &str, key: Fingerprint) -> Option<(u64, u64)> {
+        use std::os::unix::fs::MetadataExt;
         let meta = std::fs::metadata(self.entry_path(kind, key)).ok()?;
-        Some((meta.len(), meta.modified().ok()?))
+        Some((meta.len(), meta.ino()))
     }
 
     fn entry_path(&self, kind: &str, key: Fingerprint) -> PathBuf {
@@ -1115,135 +1023,6 @@ impl ArtifactStore {
         let name = path.file_name()?.to_str()?;
         let (kind, fp) = parse_guard_stem(name.strip_suffix(".art")?)?;
         Some((kind, Fingerprint(fp)))
-    }
-
-    // -- manifest -----------------------------------------------------------
-
-    fn manifest_path(&self) -> PathBuf {
-        self.dir.join(MANIFEST_FILE)
-    }
-
-    /// Read `manifest.json`, falling back to an envelope scan of the
-    /// directory when it is missing, unreadable or version-skewed.
-    fn load_or_rebuild_manifest(&self) -> ManifestState {
-        if let Ok(text) = std::fs::read_to_string(self.manifest_path()) {
-            if let Ok(manifest) = serde_json::from_str::<Manifest>(&text) {
-                if manifest.version == MANIFEST_VERSION {
-                    return ManifestState::from_manifest(manifest);
-                }
-            }
-        }
-        self.rebuild_manifest_from_envelopes()
-    }
-
-    /// Index every entry file from its 40-byte envelope (no payload reads).
-    /// Rebuilt entries get access stamp 0 — oldest, evicted first — since
-    /// their true history is unknown.
-    fn rebuild_manifest_from_envelopes(&self) -> ManifestState {
-        let mut state = ManifestState::default();
-        for path in self.entries(None) {
-            let Some((kind, key)) = Self::parse_entry_name(&path) else { continue };
-            if let Some(meta) = self.peek(&kind, key) {
-                state.entries.insert(
-                    (kind.clone(), key.0),
-                    ManifestEntry {
-                        kind,
-                        fingerprint: key.0,
-                        payload_len: meta.payload_len,
-                        checksum: meta.checksum,
-                        last_access: 0,
-                    },
-                );
-            }
-        }
-        state
-    }
-
-    /// Atomically persist the manifest (tmp + rename, like every entry) and
-    /// clear the dirty flag.  Failure is at most a warning, never an error:
-    /// the manifest is advisory and is rebuilt from envelopes on the next
-    /// open.  `quiet` suppresses the warning for best-effort paths (handle
-    /// drop — the directory may already be gone).
-    fn persist_manifest(&self, state: &ManifestState, quiet: bool) {
-        self.shared.manifest_dirty.store(false, Ordering::Relaxed);
-        let failed = |what: &str, detail: String| {
-            // keep the batched state flushable: a transient failure must
-            // not silently drop the stamps forever
-            self.shared.manifest_dirty.store(true, Ordering::Relaxed);
-            if !quiet {
-                eprintln!("warning: could not {what} store manifest: {detail}");
-            }
-        };
-        let body = match serde_json::to_string(&state.to_manifest()) {
-            Ok(b) => b,
-            Err(e) => return failed("serialise", e.to_string()),
-        };
-        let tmp = self.dir.join(format!(
-            ".tmp-manifest-{}-{}",
-            std::process::id(),
-            self.shared.stats.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = std::fs::write(&tmp, body.as_bytes())
-            .and_then(|_| std::fs::rename(&tmp, self.manifest_path()));
-        if let Err(e) = result {
-            let _ = std::fs::remove_file(&tmp);
-            failed("persist", e.to_string());
-        }
-    }
-
-    /// Record a save or load in the in-memory manifest: bump the clock and
-    /// stamp the entry.  Deliberately does *not* touch the disk — loads stay
-    /// reads — the batched state is persisted by [`ArtifactStore::flush`],
-    /// the lifecycle passes, or the last handle's drop.
-    fn note_access(&self, kind: &str, key: Fingerprint, payload_len: u64, checksum: u64) {
-        let mut state = self.shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
-        state.clock += 1;
-        let stamp = state.clock;
-        state
-            .entries
-            .entry((kind.to_string(), key.0))
-            .and_modify(|e| {
-                e.payload_len = payload_len;
-                e.checksum = checksum;
-                e.last_access = stamp;
-            })
-            .or_insert_with(|| ManifestEntry {
-                kind: kind.to_string(),
-                fingerprint: key.0,
-                payload_len,
-                checksum,
-                last_access: stamp,
-            });
-        self.shared.manifest_dirty.store(true, Ordering::Relaxed);
-    }
-
-    /// Persist any batched manifest changes (access stamps, new entries).
-    /// A no-op when nothing changed since the last flush.
-    pub fn flush(&self) {
-        self.flush_impl(false);
-    }
-
-    fn flush_impl(&self, quiet: bool) {
-        if self.shared.manifest_dirty.swap(false, Ordering::Relaxed) {
-            let mut state = self.shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
-            // Merge-on-persist: another handle (possibly another process) on
-            // the same directory may have persisted its own access stamps
-            // since we loaded.  Overwriting blindly would be
-            // last-writer-wins — the sibling's stamps and clock ticks would
-            // vanish and GC's LRU order would rot — so adopt the disk state
-            // first (max clock, newest stamp per entry) and persist the
-            // union.  The lifecycle passes (gc, doctor) don't merge here:
-            // they just reconciled against the directory and their state is
-            // authoritative (merging back would resurrect records for files
-            // they deleted).
-            self.sync_with_disk_locked(&mut state);
-            self.persist_manifest(&state, quiet);
-        }
-    }
-
-    /// Snapshot of the current manifest (sorted, as persisted).
-    pub fn manifest(&self) -> Manifest {
-        self.shared.manifest.lock().unwrap_or_else(|e| e.into_inner()).to_manifest()
     }
 
     // -- pinning ------------------------------------------------------------
@@ -1343,11 +1122,6 @@ impl ArtifactStore {
             .contains_key(&(kind.to_string(), key.0))
     }
 
-    /// Number of distinct pinned entries.
-    pub fn pinned_count(&self) -> usize {
-        self.shared.pins.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
     // -- claim / lease ------------------------------------------------------
 
     /// Path of the lease file guarding `(kind, key)`'s cold compute — a
@@ -1374,7 +1148,7 @@ impl ArtifactStore {
     ///
     /// Returns [`ClaimOutcome::Busy`] when another process holds a live
     /// claim; the caller should wait for its result
-    /// ([`ArtifactStore::await_entry_or_lease`]) instead of computing.
+    /// ([`ArtifactStore::await_entry_or_lease_deadline`]) instead of computing.
     pub fn try_claim(
         &self,
         kind: &str,
@@ -1447,21 +1221,14 @@ impl ArtifactStore {
     }
 
     /// Block until either a valid-looking entry for `(kind, key)` is present
-    /// (returns `true`) or no live lease guards it (returns `false`: the
-    /// holder released without saving, crashed, or there never was one —
-    /// the caller should retry [`ArtifactStore::try_claim`]).
+    /// (`Ok(true)`) or no live lease guards it (`Ok(false)`: the holder
+    /// released without saving, crashed, or there never was one — the
+    /// caller should retry [`ArtifactStore::try_claim`]).
     ///
     /// This is the loser's half of the dedup protocol: instead of
     /// recomputing a cold artifact a sibling process is already computing,
-    /// wait for the winner's atomically published result.
-    pub fn await_entry_or_lease(&self, kind: &str, key: Fingerprint) -> bool {
-        // a wedged winner past the (generous) deadline degrades to "no
-        // entry, retry the claim" for callers of the legacy signature
-        self.await_entry_or_lease_deadline(kind, key, lease_wait()).unwrap_or(false)
-    }
-
-    /// [`ArtifactStore::await_entry_or_lease`] with an explicit overall
-    /// deadline and a typed timeout.
+    /// wait for the winner's atomically published result.  Callers pass
+    /// [`lease_wait`] unless they need a different overall deadline.
     ///
     /// Polling backs off exponentially from [`LEASE_POLL`] (5 ms) to
     /// [`LEASE_POLL_MAX`] (100 ms) — a short compute is picked up nearly as
@@ -1537,13 +1304,19 @@ impl ArtifactStore {
         // it — modelling a crash after rename was queued but before the data
         // made it down.  The resulting entry must fail validation on every
         // future load/peek (corrupt-as-miss) and be doctor-repairable.
+        let write_tmp = |bytes: &[u8]| -> std::io::Result<()> {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(bytes)?;
+            touch(&file);
+            Ok(())
+        };
         match crate::faults::check("store.write", &self.dir) {
             crate::faults::Fault::Error => return Err(crate::faults::injected_io("store.write")),
             crate::faults::Fault::Torn(at) => {
                 let cut = (at as usize).min(body.len().saturating_sub(1));
-                std::fs::write(&tmp, &body[..cut])?;
+                write_tmp(&body[..cut])?;
             }
-            _ => std::fs::write(&tmp, &body)?,
+            _ => write_tmp(&body)?,
         }
         if crate::faults::check("store.rename", &self.dir) == crate::faults::Fault::Error {
             let _ = std::fs::remove_file(&tmp);
@@ -1555,7 +1328,6 @@ impl ArtifactStore {
         }
         result?;
         self.shared.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.note_access(kind, key, payload.len() as u64, checksum);
         Ok(())
     }
 
@@ -1564,7 +1336,7 @@ impl ArtifactStore {
     /// Returns `None` — never a wrong payload — when the entry is missing or
     /// fails any validation (magic, store version, fingerprint, length,
     /// checksum).  Damaged entries additionally tick [`StoreStats::corrupt`].
-    /// A successful load stamps the entry's manifest access clock and adds
+    /// A successful load touches the entry's mtime (its GC recency) and adds
     /// the payload size to [`StoreStats::payload_bytes_read`].
     pub fn load(&self, kind: &str, key: Fingerprint) -> Option<Vec<u8>> {
         let path = self.entry_path(kind, key);
@@ -1572,21 +1344,23 @@ impl ArtifactStore {
             self.shared.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None; // an unreadable entry is a miss, injected or real
         }
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                self.shared.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let read = std::fs::File::open(&path).and_then(|mut file| {
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes)?;
+            Ok((file, bytes))
+        });
+        let Ok((file, bytes)) = read else {
+            self.shared.stats.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
         match Self::validate(bytes, kind, key) {
-            Some((payload, checksum)) => {
+            Some(payload) => {
                 self.shared.stats.hits.fetch_add(1, Ordering::Relaxed);
                 self.shared
                     .stats
                     .payload_bytes_read
                     .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                self.note_access(kind, key, payload.len() as u64, checksum);
+                touch(&file);
                 Some(payload)
             }
             None => {
@@ -1647,14 +1421,14 @@ impl ArtifactStore {
     /// formats carrying their own integrity data — the trace codec's
     /// header checksum (verified by [`leon_sim::StreamedTrace::open`]) and
     /// per-segment checksums (verified by each segment load).  A successful
-    /// open counts as a hit and stamps the manifest clock; a missing/invalid
+    /// open counts as a hit and touches the entry's mtime; a missing/invalid
     /// envelope returns `None` without counting a miss (the caller's
     /// fallback `load` does).
     pub fn open_payload_reader(&self, kind: &str, key: Fingerprint) -> Option<PayloadReader> {
         let meta = self.peek(kind, key)?;
         let file = std::fs::File::open(self.entry_path(kind, key)).ok()?;
         self.shared.stats.hits.fetch_add(1, Ordering::Relaxed);
-        self.note_access(kind, key, meta.payload_len, meta.checksum);
+        touch(&file);
         Some(PayloadReader {
             file: Mutex::new(file),
             payload_len: meta.payload_len,
@@ -1676,10 +1450,9 @@ impl ArtifactStore {
     }
 
     /// Validate the envelope and strip it in place: the loaded payload
-    /// reuses the `fs::read` allocation — one in-buffer shift of the
-    /// payload instead of a second allocation + copy.  Returns the payload
-    /// and its (verified) checksum.
-    fn validate(mut bytes: Vec<u8>, kind: &str, key: Fingerprint) -> Option<(Vec<u8>, u64)> {
+    /// reuses the read allocation — one in-buffer shift of the payload
+    /// instead of a second allocation + copy.
+    fn validate(mut bytes: Vec<u8>, kind: &str, key: Fingerprint) -> Option<Vec<u8>> {
         if bytes.len() < ENVELOPE_LEN || bytes[0..4] != ENTRY_MAGIC {
             return None;
         }
@@ -1698,12 +1471,11 @@ impl ArtifactStore {
         if field(24) != payload.len() as u64 {
             return None;
         }
-        let checksum = field(32);
-        if checksum != leon_sim::checksum64(payload) {
+        if field(32) != leon_sim::checksum64(payload) {
             return None;
         }
         bytes.drain(0..ENVELOPE_LEN);
-        Some((bytes, checksum))
+        Some(bytes)
     }
 
     /// Whether the trace embedded in a stored `trace` payload validates
@@ -1747,67 +1519,6 @@ impl ArtifactStore {
 
     // -- lifecycle: gc / doctor / usage / pack ------------------------------
 
-    /// Merge the persisted manifest into this handle's in-memory state.
-    ///
-    /// Two handles on the same directory each keep their own advisory state;
-    /// whichever persists last wins on disk.  Before a lifecycle pass (GC,
-    /// doctor) the handle adopts anything a sibling handle recorded — newest
-    /// access stamp wins per entry — so stale in-memory views never
-    /// misreport (or mis-evict) entries another handle wrote.
-    fn sync_with_disk_locked(&self, state: &mut ManifestState) {
-        let disk = self.load_or_rebuild_manifest();
-        state.clock = state.clock.max(disk.clock);
-        for (id, entry) in disk.entries {
-            match state.entries.get_mut(&id) {
-                Some(existing) => {
-                    if entry.last_access > existing.last_access {
-                        *existing = entry;
-                    }
-                }
-                None => {
-                    state.entries.insert(id, entry);
-                }
-            }
-        }
-    }
-
-    /// Reconcile the manifest with the directory: returns, for each entry
-    /// file that parses, its key, its actual file size and its (possibly
-    /// just-created) manifest record.  Stale manifest records are dropped.
-    fn reconcile_locked(&self, state: &mut ManifestState) -> Vec<((String, u64), u64)> {
-        let mut present: Vec<((String, u64), u64)> = Vec::new();
-        let mut seen: HashMap<(String, u64), ()> = HashMap::new();
-        for path in self.entries(None) {
-            let Some((kind, key)) = Self::parse_entry_name(&path) else { continue };
-            let Ok(meta) = std::fs::metadata(&path) else { continue };
-            let id = (kind.clone(), key.0);
-            if !state.entries.contains_key(&id) {
-                if let Some(peeked) = self.peek(&kind, key) {
-                    state.entries.insert(
-                        id.clone(),
-                        ManifestEntry {
-                            kind,
-                            fingerprint: key.0,
-                            payload_len: peeked.payload_len,
-                            checksum: peeked.checksum,
-                            last_access: 0,
-                        },
-                    );
-                } else {
-                    // unreadable/foreign envelope: still occupies space, so
-                    // report it (GC may evict it), but don't index it
-                    present.push((id.clone(), meta.len()));
-                    seen.insert(id, ());
-                    continue;
-                }
-            }
-            present.push((id.clone(), meta.len()));
-            seen.insert(id, ());
-        }
-        state.entries.retain(|id, _| seen.contains_key(id));
-        present
-    }
-
     /// Evict least-recently-accessed entries until the entry files fit
     /// `budget_bytes`, skipping entries pinned by open sessions — in this
     /// process (the in-memory pin table) or any other (a live `.pin-*`
@@ -1818,24 +1529,28 @@ impl ArtifactStore {
     /// The invariant (property-tested in `tests/incremental_store.rs`):
     /// after `gc(b)` either the store's entry files total ≤ `b` bytes, or
     /// every remaining entry is pinned or lease-guarded.  Eviction order is
-    /// strictly by ascending access stamp (ties broken by kind +
-    /// fingerprint for determinism); the manifest is reconciled with the
-    /// directory before and persisted after the pass.
+    /// strictly ascending `(mtime, kind, fingerprint)`: the entry file's
+    /// mtime is its last save or successful load, and the kind +
+    /// fingerprint tie-break keeps the order deterministic on filesystems
+    /// with coarse timestamps.
     pub fn gc(&self, budget_bytes: u64) -> std::io::Result<GcReport> {
-        let mut state = self.shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
-        self.sync_with_disk_locked(&mut state);
-        let present = self.reconcile_locked(&mut state);
-
-        let mut total: u64 = present.iter().map(|(_, len)| *len).sum();
-        let entries_before = present.len();
-        let bytes_before = total;
-
-        // entries guarded on disk by live sibling-process state the
-        // in-memory pin table cannot see: `.lease` (in-flight cold compute)
-        // and `.pin-*` (another session's pins); expired guards are ignored
+        // one directory pass: every entry file with its size and mtime, and
+        // the on-disk guards of live sibling-process state the in-memory
+        // pin table cannot see — `.lease` (in-flight cold compute) and
+        // `.pin-*` (another session's pins); expired guards are ignored
+        let mut candidates: Vec<(SystemTime, (String, u64), u64)> = Vec::new();
         let mut lease_guarded: HashSet<(String, u64)> = HashSet::new();
         let mut pin_guarded: HashSet<(String, u64)> = HashSet::new();
         for entry in std::fs::read_dir(&self.dir)?.flatten() {
+            let path = entry.path();
+            if let Some((kind, key)) = Self::parse_entry_name(&path) {
+                // a file that vanished since the listing was evicted by a
+                // concurrent pass: nothing left to order
+                let Ok(meta) = entry.metadata() else { continue };
+                let mtime = meta.modified().unwrap_or(UNIX_EPOCH);
+                candidates.push((mtime, (kind, key.0), meta.len()));
+                continue;
+            }
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
             if name.starts_with(".tmp-") {
@@ -1849,7 +1564,7 @@ impl ArtifactStore {
                 continue;
             };
             let Some(id) = parse_guard_stem(stem) else { continue };
-            if let Some((_, info)) = read_lease_file(&entry.path()) {
+            if let Some((_, info)) = read_lease_file(&path) {
                 if !info.is_expired() {
                     if is_pin {
                         pin_guarded.insert(id);
@@ -1859,24 +1574,18 @@ impl ArtifactStore {
                 }
             }
         }
+        candidates.sort();
 
-        // LRU order: unknown entries (not in the manifest) evict first with
-        // stamp 0, then by ascending last_access
-        let mut candidates: Vec<(u64, (String, u64), u64)> = present
-            .iter()
-            .map(|(id, len)| {
-                let stamp = state.entries.get(id).map(|e| e.last_access).unwrap_or(0);
-                (stamp, id.clone(), *len)
-            })
-            .collect();
-        candidates.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        let mut total: u64 = candidates.iter().map(|(_, _, len)| *len).sum();
+        let entries_before = candidates.len();
+        let bytes_before = total;
 
         let pins = self.shared.pins.lock().unwrap_or_else(|e| e.into_inner());
         let mut evicted = 0usize;
         let mut evicted_bytes = 0u64;
         let mut pinned_retained = 0usize;
         let mut lease_retained = 0usize;
-        for (_stamp, id, len) in candidates {
+        for (_mtime, id, len) in candidates {
             if total <= budget_bytes {
                 break;
             }
@@ -1890,7 +1599,6 @@ impl ArtifactStore {
             }
             let (kind, fp) = (&id.0, Fingerprint(id.1));
             remove_entry_file(&self.entry_path(kind, fp))?;
-            state.entries.remove(&id);
             total -= len;
             evicted += 1;
             evicted_bytes += len;
@@ -1898,7 +1606,6 @@ impl ArtifactStore {
         }
         drop(pins);
 
-        self.persist_manifest(&state, false);
         Ok(GcReport {
             budget_bytes,
             entries_before,
@@ -1913,18 +1620,15 @@ impl ArtifactStore {
     }
 
     /// Verify the store end to end: every entry's envelope *and payload
-    /// checksum*, the manifest ↔ directory correspondence, and leftover
-    /// temporary files.  Trace entries get a deeper pass — the embedded
-    /// trace's header checksum, segment index and per-segment checksums are
-    /// validated, because the streamed read path trusts them without the
-    /// envelope checksum.  With `repair`, corrupt entries and stray files
-    /// are deleted and the manifest is rebuilt to match the surviving
-    /// entries (preserving access stamps where known).
+    /// checksum*, leftover temporary files and expired guard files.  Trace
+    /// entries get a deeper pass — the embedded trace's header checksum,
+    /// segment index and per-segment checksums are validated, because the
+    /// streamed read path trusts them without the envelope checksum.  With
+    /// `repair`, corrupt entries and stray files are deleted.  Files the
+    /// store does not name (such as the JSON index older stores kept) are
+    /// ignored.  Doctor reads are not accesses: no entry's mtime moves.
     pub fn doctor(&self, repair: bool) -> std::io::Result<DoctorReport> {
-        let mut state = self.shared.manifest.lock().unwrap_or_else(|e| e.into_inner());
-        self.sync_with_disk_locked(&mut state);
         let mut report = DoctorReport { repaired: repair, ..DoctorReport::default() };
-        let mut valid: HashMap<(String, u64), (u64, u64)> = HashMap::new(); // id -> (len, checksum)
 
         for path in self.entries(None) {
             let id = Self::parse_entry_name(&path);
@@ -1933,7 +1637,7 @@ impl ArtifactStore {
                 Self::validate(bytes, kind, *key)
             });
             match (id, ok) {
-                (Some((kind, key)), Some((payload, checksum))) => {
+                (Some((kind, _)), Some(payload)) => {
                     // trace entries carry their own inner checksums (header
                     // + per-segment) that the streamed read path relies on
                     // and the envelope checksum cannot vouch for — validate
@@ -1969,13 +1673,8 @@ impl ArtifactStore {
                     if trace_ok {
                         report.entries_ok += 1;
                         report.payload_bytes += payload.len() as u64;
-                        valid.insert((kind, key.0), (payload.len() as u64, checksum));
                     } else if repair {
                         remove_entry_file(&path)?;
-                    } else {
-                        // keep the manifest correspondence quiet — the
-                        // defect is already counted above
-                        valid.insert((kind, key.0), (payload.len() as u64, checksum));
                     }
                 }
                 _ => {
@@ -1984,23 +1683,6 @@ impl ArtifactStore {
                         remove_entry_file(&path)?;
                     }
                 }
-            }
-        }
-
-        // manifest ↔ directory correspondence
-        for (id, entry) in &state.entries {
-            match valid.get(id) {
-                None => report.stale_manifest_entries += 1,
-                Some(&(len, checksum)) => {
-                    if entry.payload_len != len || entry.checksum != checksum {
-                        report.mismatched_manifest_entries += 1;
-                    }
-                }
-            }
-        }
-        for id in valid.keys() {
-            if !state.entries.contains_key(id) {
-                report.unindexed_files += 1;
             }
         }
 
@@ -2057,25 +1739,6 @@ impl ArtifactStore {
             }
         }
 
-        if repair {
-            // rebuild the manifest from the surviving valid entries,
-            // keeping known access stamps
-            let old = std::mem::take(&mut state.entries);
-            for (id, (len, checksum)) in &valid {
-                let last_access = old.get(id).map(|e| e.last_access).unwrap_or(0);
-                state.entries.insert(
-                    id.clone(),
-                    ManifestEntry {
-                        kind: id.0.clone(),
-                        fingerprint: id.1,
-                        payload_len: *len,
-                        checksum: *checksum,
-                        last_access,
-                    },
-                );
-            }
-            self.persist_manifest(&state, false);
-        }
         Ok(report)
     }
 
@@ -2112,8 +1775,6 @@ impl ArtifactStore {
     /// into place, so packing a multi-gigabyte store neither doubles its
     /// size in RAM nor leaves a torn file behind on interruption.
     pub fn pack_to(&self, out: &Path) -> std::io::Result<PackStats> {
-        use std::io::Write as _;
-
         // pass 1: validate and order the entries (payloads are dropped)
         let mut stats = PackStats::default();
         let mut valid: Vec<(String, Fingerprint)> = Vec::new();
@@ -2151,7 +1812,7 @@ impl ArtifactStore {
             for (kind, key) in &valid {
                 // an entry may vanish or rot between the passes; the count
                 // is already written, so abort rather than mis-describe
-                let (payload, _) = std::fs::read(self.entry_path(kind, *key))
+                let payload = std::fs::read(self.entry_path(kind, *key))
                     .ok()
                     .and_then(|b| Self::validate(b, kind, *key))
                     .ok_or_else(|| {
@@ -2186,15 +1847,13 @@ impl ArtifactStore {
 
     /// Import every entry of a file written by [`ArtifactStore::pack_to`]
     /// into this store (overwriting same-key entries; each import is a
-    /// normal atomic [`ArtifactStore::save`], so the manifest stays in
-    /// sync).  Fails without importing anything when the pack's magic,
+    /// normal atomic [`ArtifactStore::save`]).  Fails without importing anything when the pack's magic,
     /// version or checksum is wrong.
     ///
     /// Streams in two passes, mirroring [`ArtifactStore::pack_to`]: a
     /// chunked checksum pass over the whole file, then an entry-at-a-time
     /// import pass — peak memory is one payload, not the pack.
     pub fn unpack_from(&self, input: &Path) -> std::io::Result<PackStats> {
-        use std::io::Read as _;
         let invalid = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
 
         let total_len = std::fs::metadata(input)?.len();
@@ -2263,7 +1922,6 @@ impl ArtifactStore {
         if pos != body_len {
             return Err(invalid("trailing bytes after the last pack entry"));
         }
-        self.flush();
         Ok(stats)
     }
 }
@@ -2405,42 +2063,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_tracks_saves_loads_and_survives_reopen() {
-        let store = scratch_store("manifest");
-        let k1 = FingerprintBuilder::new().str("m1").finish();
-        let k2 = FingerprintBuilder::new().str("m2").finish();
-        store.save("table", k1, b"first").unwrap();
-        store.save("sweep", k2, b"second!").unwrap();
-        let manifest = store.manifest();
-        assert_eq!(manifest.version, MANIFEST_VERSION);
-        assert_eq!(manifest.entries.len(), 2);
-        assert_eq!(manifest.clock, 2);
-
-        // loading bumps the accessed entry past the other one
-        store.load("table", k1).unwrap();
-        let manifest = store.manifest();
-        let stamp = |kind: &str| {
-            manifest.entries.iter().find(|e| e.kind == kind).unwrap().last_access
-        };
-        assert!(stamp("table") > stamp("sweep"));
-
-        // access stamps batch in memory until a flush; a reopened handle
-        // then sees the persisted manifest (same stamps)
-        store.flush();
-        let reopened = ArtifactStore::open(store.dir()).unwrap();
-        assert_eq!(reopened.manifest(), manifest);
-
-        // deleting the manifest file rebuilds the index from envelopes
-        std::fs::remove_file(store.dir().join(MANIFEST_FILE)).unwrap();
-        let rebuilt = ArtifactStore::open(store.dir()).unwrap();
-        let rebuilt_manifest = rebuilt.manifest();
-        assert_eq!(rebuilt_manifest.entries.len(), 2);
-        assert!(rebuilt_manifest.entries.iter().all(|e| e.last_access == 0));
-        assert_eq!(rebuilt.stats().payload_bytes_read, 0, "rebuild reads envelopes only");
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
     fn gc_evicts_least_recently_used_first_and_respects_pins() {
         let store = scratch_store("gc");
         let keys: Vec<Fingerprint> =
@@ -2448,8 +2070,16 @@ mod tests {
         for &k in &keys {
             store.save("table", k, &[0u8; 60]).unwrap(); // 100 bytes per file
         }
-        // access order now 0 < 1 < 2 < 3; touch 0 so 1 becomes the LRU
+        let mtime = |k: Fingerprint| {
+            std::fs::metadata(store.entry_path("table", k)).unwrap().modified().unwrap()
+        };
+        // access order now 0 < 1 < 2 < 3; presence checks are not accesses
+        let before = mtime(keys[0]);
+        assert!(store.contains("table", keys[0]) && store.peek("table", keys[0]).is_some());
+        assert_eq!(mtime(keys[0]), before, "peek/contains must not touch");
+        // a load makes entry 0 newer than the last save, so 1 becomes the LRU
         store.load("table", keys[0]).unwrap();
+        assert!(mtime(keys[0]) > mtime(keys[3]), "a load is an access");
         // pin entry 1 (the LRU): GC must skip it
         store.pin("table", keys[1]);
 
@@ -2491,8 +2121,8 @@ mod tests {
         store.save("optimum", k3, b"will go stale").unwrap();
         assert!(store.doctor(false).unwrap().is_clean());
 
-        // corrupt one payload, delete one file behind the manifest's back,
-        // and drop a stray temporary
+        // corrupt one payload, delete one file outright, and drop a stray
+        // temporary
         let path = store.dir().join(format!("sweep-{k2}.art"));
         let mut bytes = std::fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xff;
@@ -2504,9 +2134,10 @@ mod tests {
         assert!(!report.is_clean());
         assert_eq!(report.entries_ok, 1);
         assert_eq!(report.corrupt_entries, 1);
-        // the corrupted sweep still has a (now mismatching or stale)
-        // manifest record, and the deleted optimum is stale
-        assert_eq!(report.stale_manifest_entries, 2);
+        // the directory is the index: the deleted optimum simply no longer
+        // exists — a miss, not damage
+        assert!(!store.contains("optimum", k3));
+        assert_eq!(store.entries(None).len(), 2);
         // the tmp file was written microseconds ago: under the default
         // grace window it is a possible in-flight save, not debris
         assert_eq!(report.stray_tmp_files, 0);
@@ -2519,7 +2150,7 @@ mod tests {
         let after = store.doctor(false).unwrap();
         assert!(after.is_clean(), "{after:?}");
         assert_eq!(after.entries_ok, 1);
-        assert_eq!(store.manifest().entries.len(), 1);
+        assert_eq!(store.entries(None).len(), 1);
         // repair under the grace window must NOT have touched the young tmp
         assert!(store.dir().join(".tmp-1234-99-stray").exists());
 
@@ -2531,6 +2162,19 @@ mod tests {
         assert!(store.doctor(true).unwrap().repaired);
         assert!(!store.dir().join(".tmp-1234-99-stray").exists());
         assert!(store.doctor(false).unwrap().is_clean());
+
+        // every store written before recency moved to mtimes still holds a
+        // JSON index file: it is inert — opening, loading, GC and doctor all
+        // ignore it (and leave it alone)
+        let legacy = store.dir().join("manifest").with_extension("json");
+        std::fs::write(&legacy, br#"{"version":1,"clock":7,"entries":[]}"#).unwrap();
+        let reopened = ArtifactStore::open(store.dir()).unwrap();
+        assert_eq!(reopened.load("table", k1).as_deref(), Some(&b"healthy"[..]));
+        assert!(reopened.doctor(false).unwrap().is_clean());
+        let report = reopened.gc(0).unwrap();
+        assert_eq!((report.entries_before, report.evicted), (1, 1), "{report:?}");
+        assert!(reopened.doctor(false).unwrap().is_clean());
+        assert!(legacy.exists());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -2618,7 +2262,7 @@ mod tests {
         let key = FingerprintBuilder::new().str("awaited").finish();
 
         // no lease, no entry: nothing to wait for
-        assert!(!store.await_entry_or_lease("table", key));
+        assert!(!store.await_entry_or_lease_deadline("table", key, lease_wait()).unwrap());
 
         // winner computes and saves under a live claim; the waiter blocks
         // and then loads the winner's bytes
@@ -2632,7 +2276,7 @@ mod tests {
             winner_store.save("table", key, b"computed once").unwrap();
             lease.release();
         });
-        assert!(store.await_entry_or_lease("table", key));
+        assert!(store.await_entry_or_lease_deadline("table", key, lease_wait()).unwrap());
         assert_eq!(store.load("table", key).as_deref(), Some(&b"computed once"[..]));
         winner.join().unwrap();
 
@@ -2648,7 +2292,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(40));
             drop(lease);
         });
-        assert!(!loser_store.await_entry_or_lease("table", key2));
+        assert!(!loser_store.await_entry_or_lease_deadline("table", key2, lease_wait()).unwrap());
         quitter.join().unwrap();
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -2768,45 +2412,26 @@ mod tests {
     }
 
     #[test]
-    fn manifest_merge_on_persist_keeps_both_handles_stamps() {
-        let store = scratch_store("manifest-merge");
+    fn gc_sees_a_live_sibling_handles_loads() {
+        let store = scratch_store("gc-sibling");
         let sibling = ArtifactStore::open(store.dir()).unwrap();
-        let ka = FingerprintBuilder::new().str("from-a").finish();
-        let kb = FingerprintBuilder::new().str("from-b").finish();
+        let x = FingerprintBuilder::new().str("x").finish();
+        let y = FingerprintBuilder::new().str("y").finish();
 
-        // interleave: each handle saves its own entry, then A advances its
-        // clock well past B's and flushes first
-        store.save("table", ka, b"handle A's entry").unwrap();
-        sibling.save("sweep", kb, b"handle B's entry").unwrap();
-        for _ in 0..5 {
-            store.load("table", ka).unwrap();
-        }
-        store.flush();
-        // (A's flush may already index B's entry *file* via the envelope
-        // rebuild — but only with a know-nothing stamp of 0; B's actual
-        // access stamp exists solely in B's in-memory state.)
-        let disk_after_a = ArtifactStore::open(store.dir()).unwrap().manifest();
+        // handle A saves X, then Y; handle B — open the whole time and never
+        // dropped — then loads X, which makes X the most recently used
+        store.save("table", x, b"entry X").unwrap();
+        store.save("table", y, b"entry Y").unwrap();
+        assert!(sibling.load("table", x).is_some());
 
-        // B persists last.  Last-writer-wins would now wipe A's entry and
-        // rewind the clock; merge-on-persist must keep both.
-        sibling.flush();
-        let merged = ArtifactStore::open(store.dir()).unwrap().manifest();
-        assert_eq!(merged.entries.len(), 2, "{merged:?}");
-        let stamp = |kind: &str| merged.entries.iter().find(|e| e.kind == kind).unwrap();
-        assert_eq!(stamp("table").fingerprint, ka.0);
-        assert_eq!(stamp("sweep").fingerprint, kb.0);
-        assert_eq!(
-            merged.clock,
-            disk_after_a.clock,
-            "B's lower clock must not rewind A's ticks"
-        );
-        assert!(
-            stamp("table").last_access > stamp("sweep").last_access,
-            "A's five loads keep its entry newest in LRU order: {merged:?}"
-        );
-
-        // and the merged view survives a doctor pass untouched
+        // A's GC with room for one entry must see B's access at once
+        let one_entry = (ENVELOPE_LEN + b"entry X".len()) as u64;
+        let report = store.gc(one_entry).unwrap();
+        assert_eq!(report.evicted, 1, "{report:?}");
+        assert!(store.contains("table", x), "the entry B just loaded must survive");
+        assert!(!store.contains("table", y), "the least recently used entry is Y");
         assert!(store.doctor(false).unwrap().is_clean());
+        drop(sibling);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -7,7 +7,7 @@
 //!   exactly once, by whichever process won its claim);
 //! * both processes produce byte-identical campaign JSON, identical to the
 //!   store-less single-process run;
-//! * the store is clean afterwards (leases released, manifests merged, no
+//! * the store is clean afterwards (leases released, every entry valid, no
 //!   strays) — `store doctor` exits successfully with no repair.
 
 use std::path::{Path, PathBuf};
@@ -105,7 +105,7 @@ fn two_processes_share_one_store_without_duplicating_guest_execution() {
     );
 
     // the store survived the contention cleanly: no stray tmp files, no
-    // leftover leases, merged manifest — doctor (without --repair) passes
+    // leftover leases, every entry valid — doctor (without --repair) passes
     let doctor = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(["store", "doctor", "--store", store.to_str().unwrap()])
         .output()
